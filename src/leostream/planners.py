@@ -15,7 +15,6 @@ dynamic program over the full session are included for comparison runs.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -112,22 +111,56 @@ def evaluate_plan(inst: PlanInstance, plan) -> float:
 
 
 def _plan_exhaustive(inst: PlanInstance) -> PlanResult:
-    n_rates = len(inst.video.bitrate_ladder_mbps)
+    """Every |R|^F plan, scored as evaluate_plan would score it.
+
+    A depth-first walk over plan prefixes simulates each prefix once and
+    carries (time, buffer, previous rung, QoE so far) down to its
+    children, so a solve costs sum_k |R|^k chunk downloads instead of
+    F * |R|^F. Leaves come in ascending lexicographic order and add the
+    same floats in the same order as evaluate_plan, so with >= acceptance
+    the result is bit-identical to scoring each plan separately: the
+    lexicographically highest plan (hence highest first bitrate) wins
+    ties. A prefix whose download is unbounded prunes exactly the plans
+    evaluate_plan would reject. states_visited counts the simulated
+    (bounded) prefixes.
+    """
+    ladder = inst.video.bitrate_ladder_mbps
+    rungs = range(len(ladder))
+    horizon = inst.horizon
+    chunk_s = inst.video.chunk_duration_s
+    max_buffer_s = inst.sim.max_buffer_s
+    sim = inst.sim
+    plan = [0] * horizon
     best_q = NEG_INF
     best_plan = None
-    # Ascending lexicographic iteration with >= acceptance leaves the
-    # lexicographically highest plan (hence highest first bitrate) on ties.
-    for plan in itertools.product(range(n_rates), repeat=inst.horizon):
-        try:
-            q = evaluate_plan(inst, plan)
-        except UnboundedDownloadError:
-            continue
-        if q >= best_q:
-            best_q = q
-            best_plan = plan
+    visited = 0
+
+    def walk(n: int, t: float, buf: float, prev: int, total: float) -> None:
+        nonlocal best_q, best_plan, visited
+        leaf = n == horizon
+        for rate_idx in rungs:
+            try:
+                wait = _chunk_wait(inst, n, t, rate_idx)
+            except UnboundedDownloadError:
+                continue
+            visited += 1
+            rebuf, new_buf, drain = settle_chunk(buf, wait, chunk_s, max_buffer_s)
+            q = total + chunk_qoe(ladder[prev], ladder[rate_idx], rebuf, sim)
+            plan[n - 1] = rate_idx
+            if leaf:
+                if q >= best_q:
+                    best_q = q
+                    best_plan = tuple(plan)
+                continue
+            new_t = t + wait
+            if drain > 0.0:
+                new_t += drain
+            walk(n + 1, new_t, new_buf, rate_idx, q)
+
+    walk(1, inst.start_t, inst.buffer_s, inst.last_bitrate_idx, 0.0)
     if best_plan is None:
         raise UnboundedDownloadError("all horizon plans are unbounded")
-    return PlanResult(best_q, best_plan[0], best_plan)
+    return PlanResult(best_q, best_plan[0], best_plan, states_visited=visited)
 
 
 def f_mpc(inst: PlanInstance) -> PlanResult:

@@ -113,9 +113,13 @@ class RateSeries:
     The final value extends past the end of the series, so lookups never
     run out of data. Used both for trace playback and for predicted
     throughput handed to the planners.
+
+    The series is treated as immutable: lookups read a Python-float copy
+    of `rates` taken at construction, which avoids boxing a numpy scalar
+    on every segment of the planners' inner loop.
     """
 
-    __slots__ = ("anchor_t", "sample_dt", "rates")
+    __slots__ = ("anchor_t", "sample_dt", "rates", "_values", "_last")
 
     def __init__(self, anchor_t: float, sample_dt: float, rates):
         self.anchor_t = anchor_t
@@ -123,6 +127,8 @@ class RateSeries:
         self.rates = np.asarray(rates, dtype=float)
         if len(self.rates) == 0:
             raise ValueError("RateSeries needs at least one sample")
+        self._values = self.rates.tolist()
+        self._last = len(self._values) - 1
 
     @classmethod
     def constant(cls, rate_mbps: float) -> "RateSeries":
@@ -133,14 +139,23 @@ class RateSeries:
         return cls(0.0, trace.sample_dt, trace.track(sat_id).throughput_mbps)
 
     def rate_and_edge(self, t: float) -> tuple[float, float]:
-        """Rate at time t and the end of its constant segment (inf on the last)."""
+        """Rate at time t and the end of its constant segment (inf on the last).
+
+        The returned edge is always later than t. When the anchor is not
+        a multiple of sample_dt, rounding can place t exactly on an edge
+        yet index the segment that edge closes; the lookup then moves on
+        to the next segment, so a caller walking segments always advances.
+        """
         idx = int((t - self.anchor_t) / self.sample_dt)
         if idx < 0:
             idx = 0
-        last = len(self.rates) - 1
-        if idx >= last:
-            return float(self.rates[last]), math.inf
-        return float(self.rates[idx]), self.anchor_t + (idx + 1) * self.sample_dt
+        last = self._last
+        while idx < last:
+            edge = self.anchor_t + (idx + 1) * self.sample_dt
+            if edge > t:
+                return self._values[idx], edge
+            idx += 1
+        return self._values[last], math.inf
 
     def scaled(self, factor: float) -> "RateSeries":
         return RateSeries(self.anchor_t, self.sample_dt, self.rates * factor)

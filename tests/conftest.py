@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from leostream.simcore import SimConfig, VideoSpec
 from leostream.traces import SatelliteTrack, TraceGenConfig, TraceSet, gen_trace_set
@@ -18,6 +19,11 @@ SUITE_KWARGS = dict(
     speed_kms=7.6,
 )
 SUITE_SEEDS = tuple(range(20))
+
+# Property tests draw the same examples on every run and never time out on
+# a slow host; no example database is written.
+settings.register_profile("leostream", derandomize=True, deadline=None, database=None)
+settings.load_profile("leostream")
 
 
 def make_flat_trace(rates_mbps, duration_s=200.0, sample_dt=1.0, visible=None):

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leostream.planners import (
     JointMpcController,
@@ -23,6 +25,7 @@ from leostream.simcore import (
     PlayerState,
     RateSeries,
     SimConfig,
+    UnboundedDownloadError,
     VideoSpec,
     initial_state,
     run_session,
@@ -119,6 +122,99 @@ def test_f_sat_mpc_handoff_cost_with_empty_buffer(video, sim_cfg):
     assert stay.best_qoe - move.best_qoe == pytest.approx(
         sim_cfg.mu2 * sim_cfg.handoff_delay_s
     )
+
+
+LADDERS = ((0.3, 1.2, 2.85), (0.3, 0.75, 1.2, 1.85, 2.85, 4.3))
+
+
+def _naive_exhaustive(inst):
+    """Reference search: score every plan from scratch, keep the last best."""
+    n_rates = len(inst.video.bitrate_ladder_mbps)
+    best_q, best_plan = -math.inf, None
+    for plan in itertools.product(range(n_rates), repeat=inst.horizon):
+        try:
+            q = evaluate_plan(inst, plan)
+        except UnboundedDownloadError:
+            continue
+        if q >= best_q:
+            best_q, best_plan = q, plan
+    if best_plan is None:
+        raise UnboundedDownloadError("all horizon plans are unbounded")
+    return best_q, best_plan
+
+
+@st.composite
+def _links(draw):
+    """A predicted link, often with a zero-throughput tail (unbounded)."""
+    rates = draw(st.lists(st.floats(0.2, 10.0), min_size=1, max_size=10))
+    zero_from = draw(st.none() | st.integers(0, len(rates) - 1))
+    if zero_from is not None:
+        rates[zero_from:] = [0.0] * (len(rates) - zero_from)
+    anchor = draw(st.floats(0.0, 2.0))
+    return RateSeries(anchor, draw(st.sampled_from((0.5, 1.0, 2.0))), rates)
+
+
+@st.composite
+def _plan_instances(draw):
+    ladder = draw(st.sampled_from(LADDERS))
+    horizon = draw(st.integers(1, 5 if len(ladder) == 3 else 4))
+    h = draw(st.none() | st.integers(1, horizon))
+    # A small buffer cap makes the player idle (drain) between chunks.
+    sim = SimConfig(max_buffer_s=draw(st.sampled_from((60.0, 8.0))))
+    return PlanInstance(
+        horizon=horizon,
+        buffer_s=draw(st.floats(0.0, sim.max_buffer_s)),
+        last_bitrate_idx=draw(st.integers(0, len(ladder) - 1)),
+        start_t=draw(st.floats(0.0, 6.0)),
+        handoff_chunk=h,
+        current_link=draw(_links()),
+        target_link=None if h is None else draw(_links()),
+        video=VideoSpec(bitrate_ladder_mbps=ladder),
+        sim=sim,
+    )
+
+
+@settings(max_examples=150)
+@given(_plan_instances())
+def test_prefix_shared_search_matches_naive_enumeration(inst):
+    try:
+        q, plan = _naive_exhaustive(inst)
+        expected = (q.hex(), plan, plan[0])
+    except UnboundedDownloadError:
+        expected = None
+    search = f_mpc if inst.handoff_chunk is None else f_sat_mpc
+    try:
+        res = search(inst)
+        got = (res.best_qoe.hex(), res.full_bitrate_plan, res.first_bitrate_idx)
+    except UnboundedDownloadError:
+        got = None
+    assert got == expected
+
+
+def _bounded_prefixes(inst):
+    n_rates = len(inst.video.bitrate_ladder_mbps)
+    count = 0
+    for k in range(1, inst.horizon + 1):
+        for prefix in itertools.product(range(n_rates), repeat=k):
+            try:
+                evaluate_plan(inst, prefix)
+            except UnboundedDownloadError:
+                continue
+            count += 1
+    return count
+
+
+@pytest.mark.parametrize("ladder, full", [(LADDERS[0], 363), (LADDERS[1], 9330)])
+def test_exhaustive_states_visited_counts_simulated_prefixes(sim_cfg, ladder, full):
+    video = VideoSpec(bitrate_ladder_mbps=ladder)
+    assert full == sum(len(ladder) ** k for k in range(1, 6))
+    assert f_mpc(_instance(video, sim_cfg, cur=10.0)).states_visited == full
+    # The target link dies at t = 3 s: prefixes stranded there are pruned.
+    dying = RateSeries(0.0, 1.0, [4.0, 4.0, 4.0, 0.0])
+    inst = _instance(video, sim_cfg, cur=10.0, new=dying, h=2)
+    visited = f_sat_mpc(inst).states_visited
+    assert 0 < visited < full
+    assert visited == _bounded_prefixes(inst)
 
 
 def test_dp_buffer_discretization_shares_states(video6, sim_cfg):

@@ -40,6 +40,65 @@ def test_chunk_qoe_examples(sim_cfg):
     assert chunk_qoe(2.85, 2.85, 1.0, sim_cfg) == pytest.approx(2.85 - 4.3)
 
 
+def _lookup_points(anchor, dt, n):
+    """Before the anchor, every segment boundary, segment midpoints, past the end."""
+    return (
+        [anchor - 3.0 * dt, anchor - 0.25 * dt]
+        + [anchor + i * dt for i in range(n + 1)]
+        + [anchor + (i + 0.5) * dt for i in range(n)]
+        + [anchor + (n + 10) * dt, 1e9]
+    )
+
+
+def _assert_lookups_match(series, rates, anchor, dt):
+    last = len(rates) - 1
+    for t in _lookup_points(anchor, dt, len(rates)):
+        idx = min(max(int((t - anchor) / dt), 0), last)
+        edge = math.inf if idx == last else anchor + (idx + 1) * dt
+        rate, seg_end = series.rate_and_edge(t)
+        assert type(rate) is float
+        assert (rate, seg_end) == (float(rates[idx]), edge)
+
+
+def test_rate_series_lookup_matches_array():
+    anchor, dt = 2.0, 0.5
+    rates = np.array([3.25, 0.0, 7.1, 1e-3, 4.4])
+    series = RateSeries(anchor, dt, rates)
+    _assert_lookups_match(series, rates, anchor, dt)
+    # Boundaries are exact here: each opens its own segment.
+    for i in range(len(rates) - 1):
+        assert series.rate_and_edge(anchor + i * dt) == (float(rates[i]), anchor + (i + 1) * dt)
+    assert series.rate_and_edge(anchor - 0.25 * dt) == (3.25, anchor + dt)
+    assert series.rate_and_edge(anchor + 99.0) == (4.4, math.inf)
+
+    scaled = series.scaled(0.37)
+    _assert_lookups_match(scaled, rates * 0.37, anchor, dt)
+    # Scaling builds a new series; the original keeps its values.
+    _assert_lookups_match(series, rates, anchor, dt)
+
+
+def test_rate_series_edge_always_after_t():
+    # With this anchor, (edge - anchor) / dt rounds to 1.9999999999999998
+    # at the end of segment 1: the raw index would return that edge again
+    # and a segment walk would never advance.
+    anchor = 0.9718553931256253
+    series = RateSeries(anchor, 1.0, [5.0, 1.0, 4.0, 4.0])
+    edge = anchor + 2 * 1.0
+    assert int((edge - anchor) / 1.0) == 1
+    assert series.rate_and_edge(edge) == (4.0, anchor + 3 * 1.0)
+    # 5 Mb + 1 Mb in the first two seconds, then 2 Mb at 4 Mbps.
+    assert piecewise_download(series, anchor, 8.0, 0.0) == pytest.approx(2.5)
+
+
+def test_rate_series_single_sample_holds_forever():
+    series = RateSeries(5.0, 1.0, [2])
+    for t in (-10.0, 0.0, 5.0, 5.5, 6.0, 1e9):
+        rate, seg_end = series.rate_and_edge(t)
+        assert type(rate) is float
+        assert (rate, seg_end) == (2.0, math.inf)
+    assert RateSeries.constant(0.1).rate_and_edge(3.0) == (0.1, math.inf)
+
+
 def test_download_time_flat(sim_cfg):
     trace = make_flat_trace([10.0], duration_s=60.0)
     # 2.85 Mbps x 2 s = 5.7 Mb at 10 Mbps, plus one 80 ms RTT.
