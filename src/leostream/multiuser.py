@@ -35,6 +35,9 @@ BACKGROUND_DEMAND_LOW = 0.0
 BACKGROUND_DEMAND_HIGH = 0.06
 BACKGROUND_CAP = 0.8
 CENTRALIZED_USER_CAP = 3
+# Guard against an event loop that stops advancing. Each iteration moves
+# the clock to the next event, so a finite session needs far fewer.
+MAX_EVENT_ITERATIONS = 10_000_000
 
 
 class MultiUserError(RuntimeError):
@@ -215,7 +218,7 @@ def simulate_multi(
         users.append(user)
         try:
             _observe_start(user, trace)
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             user.phase = "failed"
             failures[uid] = repr(exc)
 
@@ -273,8 +276,7 @@ def simulate_multi(
                     changed = True
 
     now = 0.0
-    max_iterations = 10_000_000
-    for _ in range(max_iterations):
+    for _ in range(MAX_EVENT_ITERATIONS):
         cascade(now)
         if all(u.phase in ("done", "failed") for u in users):
             break
@@ -374,7 +376,7 @@ def simulate_multi(
                 )
             user.transfer_pos = t_next
         now = t_next
-    else:  # pragma: no cover - defensive
+    else:
         raise MultiUserError("event loop exceeded the iteration budget")
 
     per_user: list[QoEBreakdown | None] = []

@@ -30,6 +30,7 @@ from .simcore import (
     VideoSpec,
     chunk_qoe,
     piecewise_download,
+    piecewise_downloads,
     settle_chunk,
 )
 from .traces import TraceSet, remaining_visible_time, slant_range
@@ -110,6 +111,60 @@ def evaluate_plan(inst: PlanInstance, plan) -> float:
     return total
 
 
+def _child_expander(inst: PlanInstance):
+    """Child expansion shared by the exhaustive search and the DP.
+
+    Returns expand(n, t, buf, prev, total): every bounded child of a
+    node at horizon chunk n (1-based) as (rung, new_t, new_buf, q) in
+    ascending rung order. It scores each rung as _chunk_wait,
+    settle_chunk and chunk_qoe would, bit for bit: the waits of the
+    whole ladder come from one piecewise_downloads walk (the handoff
+    chunk adds the delay to the start and to the result, as _chunk_wait
+    does), mu1*b and mu3*|b - p| are precomputed per solve, and q keeps
+    chunk_qoe's association, total + ((mu1*b - mu2*rebuf) - mu3*|b - p|).
+    """
+    ladder = inst.video.bitrate_ladder_mbps
+    sizes = inst.video.chunk_sizes_mb
+    sim = inst.sim
+    rtt_s, delay_s, mu2 = sim.rtt_s, sim.handoff_delay_s, sim.mu2
+    chunk_s, max_buffer_s = inst.video.chunk_duration_s, sim.max_buffer_s
+    gain = [sim.mu1 * b for b in ladder]
+    switch = [[sim.mu3 * abs(b - p) for b in ladder] for p in ladder]
+    h = inst.handoff_chunk
+    current, target = inst.current_link, inst.target_link
+
+    def expand(n: int, t: float, buf: float, prev: int, total: float) -> list[tuple]:
+        if h is None or n < h:
+            waits = piecewise_downloads(current, t, sizes, rtt_s)
+        elif n == h:
+            waits = piecewise_downloads(target, t + delay_s, sizes, rtt_s)
+            waits = [None if w is None else delay_s + w for w in waits]
+        else:
+            waits = piecewise_downloads(target, t, sizes, rtt_s)
+        sw = switch[prev]
+        children = []
+        for rate_idx, wait in enumerate(waits):
+            if wait is None:
+                break  # sizes ascend, so every larger rung is unbounded too
+            # settle_chunk inlined: buf - wait is exactly -(wait - buf) and
+            # chunk_s > 0, so the branch gives the floats its max() calls give.
+            if wait > buf:
+                rebuf = wait - buf
+                new_buf = chunk_s
+            else:
+                rebuf = 0.0
+                new_buf = (buf - wait) + chunk_s
+            new_t = t + wait
+            if new_buf > max_buffer_s:
+                new_t += new_buf - max_buffer_s
+                new_buf = max_buffer_s
+            q = total + ((gain[rate_idx] - mu2 * rebuf) - sw[rate_idx])
+            children.append((rate_idx, new_t, new_buf, q))
+        return children
+
+    return expand
+
+
 def _plan_exhaustive(inst: PlanInstance) -> PlanResult:
     """Every |R|^F plan, scored as evaluate_plan would score it.
 
@@ -124,12 +179,8 @@ def _plan_exhaustive(inst: PlanInstance) -> PlanResult:
     evaluate_plan would reject. states_visited counts the simulated
     (bounded) prefixes.
     """
-    ladder = inst.video.bitrate_ladder_mbps
-    rungs = range(len(ladder))
+    expand = _child_expander(inst)
     horizon = inst.horizon
-    chunk_s = inst.video.chunk_duration_s
-    max_buffer_s = inst.sim.max_buffer_s
-    sim = inst.sim
     plan = [0] * horizon
     best_q = NEG_INF
     best_plan = None
@@ -137,24 +188,17 @@ def _plan_exhaustive(inst: PlanInstance) -> PlanResult:
 
     def walk(n: int, t: float, buf: float, prev: int, total: float) -> None:
         nonlocal best_q, best_plan, visited
-        leaf = n == horizon
-        for rate_idx in rungs:
-            try:
-                wait = _chunk_wait(inst, n, t, rate_idx)
-            except UnboundedDownloadError:
-                continue
-            visited += 1
-            rebuf, new_buf, drain = settle_chunk(buf, wait, chunk_s, max_buffer_s)
-            q = total + chunk_qoe(ladder[prev], ladder[rate_idx], rebuf, sim)
-            plan[n - 1] = rate_idx
-            if leaf:
+        children = expand(n, t, buf, prev, total)
+        visited += len(children)
+        if n == horizon:
+            for rate_idx, _, _, q in children:
                 if q >= best_q:
                     best_q = q
+                    plan[n - 1] = rate_idx
                     best_plan = tuple(plan)
-                continue
-            new_t = t + wait
-            if drain > 0.0:
-                new_t += drain
+            return
+        for rate_idx, new_t, new_buf, q in children:
+            plan[n - 1] = rate_idx
             walk(n + 1, new_t, new_buf, rate_idx, q)
 
     walk(1, inst.start_t, inst.buffer_s, inst.last_bitrate_idx, 0.0)
@@ -189,58 +233,44 @@ def f_sat_dpmpc(inst: PlanInstance, dt: float | None = None) -> PlanResult:
     dt = inst.sim.dt_s if dt is None else dt
     if dt <= 0:
         raise PlanningError("dt must be > 0")
-    ladder = inst.video.bitrate_ladder_mbps
-    n_rates = len(ladder)
-
+    expand = _child_expander(inst)
     init_key = (
         int(inst.start_t / dt),
         int(inst.buffer_s / dt),
         inst.last_bitrate_idx,
     )
-    stage = {init_key: (0.0, inst.start_t, inst.buffer_s)}
-    parents: list[dict] = []
+    # Each state keeps (QoE, exact time, exact buffer, parent key); the
+    # stages themselves are the back-pointers for plan reconstruction.
+    stage = {init_key: (0.0, inst.start_t, inst.buffer_s, None)}
+    stages: list[dict] = []
     visited = 0
 
     for n in range(1, inst.horizon + 1):
         new_stage: dict = {}
-        par: dict = {}
-        for key, (q, t, buf) in stage.items():
-            prev_idx = key[2]
-            for rate_idx in range(n_rates):
-                try:
-                    wait = _chunk_wait(inst, n, t, rate_idx)
-                except UnboundedDownloadError:
-                    continue
-                rebuf, new_buf, drain = settle_chunk(
-                    buf, wait, inst.video.chunk_duration_s, inst.sim.max_buffer_s
-                )
-                new_q = q + chunk_qoe(ladder[prev_idx], ladder[rate_idx], rebuf, inst.sim)
-                new_t = t + wait
-                if drain > 0.0:
-                    new_t += drain
+        for key, (q, t, buf, _) in stage.items():
+            for rate_idx, new_t, new_buf, new_q in expand(n, t, buf, key[2], q):
                 new_key = (int(new_t / dt), int(new_buf / dt), rate_idx)
                 cur = new_stage.get(new_key)
                 if cur is None or new_q > cur[0]:
-                    new_stage[new_key] = (new_q, new_t, new_buf)
-                    par[new_key] = key
+                    new_stage[new_key] = (new_q, new_t, new_buf, key)
         if not new_stage:
             raise UnboundedDownloadError("all horizon plans are unbounded")
-        parents.append(par)
+        stages.append(new_stage)
         stage = new_stage
         visited += len(new_stage)
 
     best_q = max(v[0] for v in stage.values())
     tied = [key for key, v in stage.items() if v[0] == best_q]
-    best_plan = max(_reconstruct(parents, key) for key in tied)
+    best_plan = max(_reconstruct(stages, key) for key in tied)
     return PlanResult(best_q, best_plan[0], best_plan, states_visited=visited)
 
 
-def _reconstruct(parents: list[dict], final_key) -> tuple[int, ...]:
+def _reconstruct(stages: list[dict], final_key) -> tuple[int, ...]:
     plan = []
     key = final_key
-    for par in reversed(parents):
+    for stage in reversed(stages):
         plan.append(key[2])
-        key = par[key]
+        key = stage[key][3]
     plan.reverse()
     return tuple(plan)
 
@@ -622,6 +652,7 @@ def offline_optimal_plan(
     if dt <= 0:
         raise PlanningError("dt must be > 0")
     ladder = video.bitrate_ladder_mbps
+    sizes = video.chunk_sizes_mb
     series = {tr.sat_id: RateSeries.for_satellite(trace, tr.sat_id) for tr in trace.tracks}
     start = simcore.initial_state(trace, video, cfg)
 
@@ -636,14 +667,11 @@ def offline_optimal_plan(
             prev_idx, cur_sat = key[2], key[3]
             for sat in _offline_actions(trace, t):
                 handoff = sat != cur_sat
-                for rate_idx in range(len(ladder)):
-                    start_t = t + cfg.handoff_delay_s if handoff else t
-                    try:
-                        dl = piecewise_download(
-                            series[sat], start_t, video.chunk_mb(rate_idx), cfg.rtt_s
-                        )
-                    except UnboundedDownloadError:
-                        continue
+                start_t = t + cfg.handoff_delay_s if handoff else t
+                dls = piecewise_downloads(series[sat], start_t, sizes, cfg.rtt_s)
+                for rate_idx, dl in enumerate(dls):
+                    if dl is None:
+                        break  # sizes ascend, so every larger rung is unbounded too
                     wait = cfg.handoff_delay_s + dl if handoff else dl
                     rebuf, new_buf, drain = settle_chunk(
                         buf, wait, video.chunk_duration_s, cfg.max_buffer_s

@@ -34,19 +34,25 @@ class VideoSpec:
     n_chunks: int = 49
     chunk_duration_s: float = 2.0
     bitrate_ladder_mbps: tuple[float, ...] = DEFAULT_LADDER_MBPS
+    # Chunk size of every rung, ascending: the size list piecewise_downloads takes.
+    chunk_sizes_mb: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_chunks < 1:
             raise ValueError("n_chunks must be >= 1")
+        if not self.chunk_duration_s > 0:
+            raise ValueError("chunk_duration_s must be > 0")
         ladder = self.bitrate_ladder_mbps
         if not ladder or any(b <= 0 for b in ladder):
             raise ValueError("bitrate ladder entries must be > 0")
         if any(a >= b for a, b in zip(ladder, ladder[1:])):
             raise ValueError("bitrate ladder must be strictly ascending")
+        sizes = tuple(b * self.chunk_duration_s for b in ladder)
+        object.__setattr__(self, "chunk_sizes_mb", sizes)
 
     def chunk_mb(self, bitrate_idx: int) -> float:
         """Chunk size in megabits (CBR: bitrate times duration, exactly)."""
-        return self.bitrate_ladder_mbps[bitrate_idx] * self.chunk_duration_s
+        return self.chunk_sizes_mb[bitrate_idx]
 
 
 @dataclass(frozen=True)
@@ -161,6 +167,41 @@ class RateSeries:
         return RateSeries(self.anchor_t, self.sample_dt, self.rates * factor)
 
 
+def piecewise_downloads(
+    series: RateSeries, start_t: float, sizes_mb, rtt_s: float
+) -> list[float | None]:
+    """piecewise_download for each of an ascending list of sizes > 0, in one walk.
+
+    Entry k is bit-identical to piecewise_download(series, start_t,
+    sizes_mb[k], rtt_s), or None where that call raises
+    UnboundedDownloadError. The segment times do not depend on the size
+    and every pending size subtracts the same per-segment product, so
+    remainders stay in ascending order (IEEE rounding is monotone) and
+    sizes finish in order: each segment retires a prefix of the pending
+    sizes.
+    """
+    waits: list[float | None] = []
+    pending = sizes_mb  # remainders of the sizes not finished yet, ascending
+    t = start_t + rtt_s
+    while True:
+        rate, seg_end = series.rate_and_edge(t)
+        if rate > 0:
+            done = 0
+            for remaining in pending:
+                finish = t + remaining / rate
+                if not finish <= seg_end:
+                    break
+                waits.append(finish - start_t)
+                done += 1
+            else:
+                return waits
+            used = rate * (seg_end - t)
+            pending = [remaining - used for remaining in pending[done:]]
+        elif seg_end == math.inf:
+            return waits + [None] * len(pending)
+        t = seg_end
+
+
 def piecewise_download(
     series: RateSeries, start_t: float, size_mb: float, rtt_s: float
 ) -> float:
@@ -171,20 +212,12 @@ def piecewise_download(
     """
     if size_mb <= 0:
         return rtt_s
-    t = start_t + rtt_s
-    remaining = size_mb
-    while True:
-        rate, seg_end = series.rate_and_edge(t)
-        if rate > 0:
-            finish = t + remaining / rate
-            if finish <= seg_end:
-                return finish - start_t
-            remaining = remaining - rate * (seg_end - t)
-        elif seg_end == math.inf:
-            raise UnboundedDownloadError(
-                f"zero throughput beyond the end of the trace at t={t:.3f}"
-            )
-        t = seg_end
+    wait = piecewise_downloads(series, start_t, (size_mb,), rtt_s)[0]
+    if wait is None:
+        raise UnboundedDownloadError(
+            f"zero throughput beyond the end of the trace (download from t={start_t:.3f})"
+        )
+    return wait
 
 
 def settle_chunk(
@@ -462,6 +495,7 @@ __all__ = [
     "DEFAULT_LADDER_MBPS",
     "EXTENDED_LADDER_MBPS",
     "piecewise_download",
+    "piecewise_downloads",
     "settle_chunk",
     "quality",
     "chunk_qoe",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from leostream import multiuser
 from leostream.multiuser import (
     BackgroundProfile,
     CentralizedCoordinator,
@@ -162,6 +163,31 @@ def test_failed_user_excluded_with_diagnostic(video, sim_cfg):
     assert 1 in result.failures
     assert result.per_user[1] is None
     assert result.per_user[0] is not None
+
+
+def test_failed_observe_start_recorded_as_failed_user(video, sim_cfg):
+    trace = make_flat_trace([6.0], duration_s=200.0)
+
+    class BrokenStart(SeparateController):
+        def observe_start(self, trace, state):
+            raise RuntimeError("predictor warm-up failed")
+
+    scenario = MultiUserScenario(
+        trace=trace,
+        controllers=[SeparateController(video, sim_cfg), BrokenStart(video, sim_cfg)],
+    )
+    result = simulate_multi(scenario, video, sim_cfg, seed=0)
+    assert "predictor warm-up failed" in result.failures[1]
+    assert result.per_user[1] is None and result.decisions[1] == ()
+    assert result.per_user[0] is not None and 0 not in result.failures
+
+
+def test_event_loop_iteration_budget(video, sim_cfg, monkeypatch):
+    trace = make_flat_trace([6.0], duration_s=200.0)
+    scenario = MultiUserScenario(trace=trace, controllers=[SeparateController(video, sim_cfg)])
+    monkeypatch.setattr(multiuser, "MAX_EVENT_ITERATIONS", 5)
+    with pytest.raises(MultiUserError, match="iteration budget"):
+        simulate_multi(scenario, video, sim_cfg, seed=0)
 
 
 def _view(uid, links, scalars, cur, video, horizon=5, buffer_s=6.0, last_idx=2, t=0.0):

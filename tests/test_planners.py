@@ -11,6 +11,7 @@ from leostream.planners import (
     PlanInstance,
     PlanningError,
     SeparateController,
+    _chunk_wait,
     baseline_handoff,
     evaluate_plan,
     f_mpc,
@@ -27,8 +28,10 @@ from leostream.simcore import (
     SimConfig,
     UnboundedDownloadError,
     VideoSpec,
+    chunk_qoe,
     initial_state,
     run_session,
+    settle_chunk,
     step_chunk,
 )
 from leostream.traces import TraceGenConfig, gen_trace_set, inject_obstructions
@@ -189,6 +192,72 @@ def test_prefix_shared_search_matches_naive_enumeration(inst):
     except UnboundedDownloadError:
         got = None
     assert got == expected
+
+
+def _scalar_dp(inst, dt):
+    """Reference grid DP: one _chunk_wait + settle_chunk + chunk_qoe per rung."""
+    ladder = inst.video.bitrate_ladder_mbps
+    init_key = (int(inst.start_t / dt), int(inst.buffer_s / dt), inst.last_bitrate_idx)
+    stage = {init_key: (0.0, inst.start_t, inst.buffer_s)}
+    parents, visited = [], 0
+    for n in range(1, inst.horizon + 1):
+        new_stage, par = {}, {}
+        for key, (q, t, buf) in stage.items():
+            for rate_idx in range(len(ladder)):
+                try:
+                    wait = _chunk_wait(inst, n, t, rate_idx)
+                except UnboundedDownloadError:
+                    continue
+                rebuf, new_buf, drain = settle_chunk(
+                    buf, wait, inst.video.chunk_duration_s, inst.sim.max_buffer_s
+                )
+                new_q = q + chunk_qoe(ladder[key[2]], ladder[rate_idx], rebuf, inst.sim)
+                new_t = t + wait
+                if drain > 0.0:
+                    new_t += drain
+                new_key = (int(new_t / dt), int(new_buf / dt), rate_idx)
+                if new_key not in new_stage or new_q > new_stage[new_key][0]:
+                    new_stage[new_key] = (new_q, new_t, new_buf)
+                    par[new_key] = key
+        if not new_stage:
+            raise UnboundedDownloadError("all horizon plans are unbounded")
+        parents.append(par)
+        stage = new_stage
+        visited += len(new_stage)
+    best_q = max(v[0] for v in stage.values())
+    plans = []
+    for key, v in stage.items():
+        if v[0] != best_q:
+            continue
+        plan = []
+        for par in reversed(parents):
+            plan.append(key[2])
+            key = par[key]
+        plans.append(tuple(reversed(plan)))
+    return best_q, max(plans), visited
+
+
+@settings(max_examples=200)
+@given(_plan_instances(), st.sampled_from((0.25, 1.0)))
+def test_dp_matches_scalar_reference_and_reevaluates_exactly(inst, dt):
+    try:
+        q, plan, visited = _scalar_dp(inst, dt)
+        expected = (q.hex(), plan, visited)
+    except UnboundedDownloadError:
+        expected = None
+    try:
+        res = f_sat_dpmpc(inst, dt)
+        got = (res.best_qoe.hex(), res.full_bitrate_plan, res.states_visited)
+    except UnboundedDownloadError:
+        got = None
+    assert got == expected
+    if got is None:
+        return
+    assert res.first_bitrate_idx == res.full_bitrate_plan[0]
+    # The DP value is the exact value of a real plan, never above the optimum.
+    assert evaluate_plan(inst, res.full_bitrate_plan) == res.best_qoe
+    exhaustive = f_mpc if inst.handoff_chunk is None else f_sat_mpc
+    assert res.best_qoe <= exhaustive(inst).best_qoe
 
 
 def _bounded_prefixes(inst):

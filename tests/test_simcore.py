@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from leostream.simcore import (
     Decision,
@@ -15,6 +17,7 @@ from leostream.simcore import (
     download_time,
     initial_state,
     piecewise_download,
+    piecewise_downloads,
     qos,
     quality,
     session_json,
@@ -132,6 +135,64 @@ def test_download_skips_zero_segments_inside_trace():
     series = RateSeries(0.0, 1.0, [5.0, 0.0, 0.0, 5.0])
     # 7.5 Mb: 5 Mb in second 0, stall for two seconds, 2.5 Mb in second 3.
     assert piecewise_download(series, 0.0, 7.5, 0.0) == pytest.approx(3.5)
+
+
+def _reference_download(series, start_t, size_mb, rtt_s):
+    """One size, one plain segment walk; None where the transfer never ends."""
+    t = start_t + rtt_s
+    remaining = size_mb
+    while True:
+        rate, seg_end = series.rate_and_edge(t)
+        if rate > 0:
+            finish = t + remaining / rate
+            if finish <= seg_end:
+                return finish - start_t
+            remaining = remaining - rate * (seg_end - t)
+        elif seg_end == math.inf:
+            return None
+        t = seg_end
+
+
+@st.composite
+def _download_cases(draw):
+    """Series with zero segments, optional zero tails, off-grid anchors,
+    one-sample and scaled variants; starts before and after the anchor."""
+    rates = draw(st.lists(st.just(0.0) | st.floats(0.05, 12.0), max_size=7))
+    rates.append(draw(st.just(0.0) | st.floats(0.05, 12.0)))  # the tail
+    series = RateSeries(
+        draw(st.floats(-3.0, 3.0)), draw(st.sampled_from((0.3, 0.5, 1.0, 2.0))), rates
+    )
+    if draw(st.booleans()):
+        series = series.scaled(draw(st.floats(0.1, 3.0)))
+    sizes = sorted(draw(st.lists(st.floats(0.01, 30.0), min_size=1, max_size=6)))
+    return series, draw(st.floats(-5.0, 12.0)), sizes, draw(st.sampled_from((0.0, 0.08)))
+
+
+@settings(max_examples=300)
+@given(_download_cases())
+@example((RateSeries(0.4, 1.0, [3.0]), -2.0, [0.6, 1.5, 5.7], 0.08))
+@example((RateSeries(0.0, 1.0, [5.0, 0.0, 0.0, 5.0, 0.0]), 0.5, [2.0, 7.5, 12.5, 13.0], 0.0))
+def test_piecewise_downloads_matches_per_size_walk(case):
+    series, start_t, sizes, rtt_s = case
+    waits = piecewise_downloads(series, start_t, sizes, rtt_s)
+    expected = [_reference_download(series, start_t, size, rtt_s) for size in sizes]
+    assert waits == expected
+    assert all(w is None or type(w) is float for w in waits)
+    for size, wait in zip(sizes, waits):
+        if wait is None:
+            with pytest.raises(UnboundedDownloadError):
+                piecewise_download(series, start_t, size, rtt_s)
+        else:
+            assert piecewise_download(series, start_t, size, rtt_s) == wait
+
+
+def test_video_spec_chunk_sizes_and_duration_check():
+    video = VideoSpec(chunk_duration_s=1.5, bitrate_ladder_mbps=(0.3, 1.2, 2.85))
+    assert video.chunk_sizes_mb == (0.3 * 1.5, 1.2 * 1.5, 2.85 * 1.5)
+    assert [video.chunk_mb(i) for i in range(3)] == list(video.chunk_sizes_mb)
+    for bad in (0.0, -2.0, float("nan")):
+        with pytest.raises(ValueError, match="chunk_duration_s"):
+            VideoSpec(chunk_duration_s=bad)
 
 
 def test_settle_chunk_cap_drain():
