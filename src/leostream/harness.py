@@ -244,7 +244,6 @@ def run_cell(
         t0 = _time.perf_counter()
         breakdown = offline_optimal(trace, video, sim, exp.offline_dt)
         elapsed = _time.perf_counter() - t0
-        handoffs = sum(1 for oc in breakdown.per_chunk if oc.handoff_performed)
         return ResultRow(
             controller_name,
             exp.predictor,
@@ -255,7 +254,7 @@ def run_cell(
             breakdown.quality_total,
             breakdown.rebuf_penalty_total,
             breakdown.smooth_penalty_total,
-            float(handoffs),
+            float(breakdown.handoff_count),
             1000.0 * elapsed / video.n_chunks,
         ), []
 
@@ -290,10 +289,7 @@ def run_cell(
         if result.failures:
             raise RuntimeError(f"user failures: {result.failures}")
         breakdowns = [b for b in result.per_user if b is not None]
-        handoffs = [
-            float(sum(1 for oc in b.per_chunk if oc.handoff_performed))
-            for b in breakdowns
-        ]
+        handoffs = [float(b.handoff_count) for b in breakdowns]
         latencies = [lat for per_user in result.decision_latencies_s for lat in per_user]
 
     qoe, quality, rebuf, smooth = _breakdown_means(breakdowns)

@@ -19,7 +19,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simcore
-from .planners import PlanInstance, PlanningError, f_sat_dpmpc, select_candidates
+from .planners import (
+    PlanInstance,
+    PlanningError,
+    _PredictingController,
+    f_sat_dpmpc,
+    select_candidates,
+)
 from .simcore import (
     Decision,
     PlayerState,
@@ -413,9 +419,7 @@ def result_json(result: MultiUserResult, include_share_events: bool = False) -> 
                 "quality": breakdown.quality_total,
                 "rebuf_penalty": breakdown.rebuf_penalty_total,
                 "smooth_penalty": breakdown.smooth_penalty_total,
-                "handoff_count": sum(
-                    1 for oc in breakdown.per_chunk if oc.handoff_performed
-                ),
+                "handoff_count": breakdown.handoff_count,
             }
             for breakdown in result.per_user
         ],
@@ -614,8 +618,6 @@ class CentralizedCoordinator:
         dp_dt: float | None = None,
         max_users: int = CENTRALIZED_USER_CAP,
     ):
-        from .planners import _PredictingController
-
         self.video = video
         self.cfg = cfg
         self.horizon = horizon
@@ -627,8 +629,6 @@ class CentralizedCoordinator:
         self.predictor = predictor
 
     def _delegate(self, uid: int):
-        from .planners import _PredictingController
-
         if uid not in self._delegates:
             self._delegates[uid] = _PredictingController(
                 self.video, self.cfg, self.predictor, self.horizon

@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import simcore
 from .predictors import MIN_OBSERVED_MBPS, OracleProvider, PredictorBank
 from .simcore import (
@@ -31,6 +33,7 @@ from .simcore import (
     chunk_qoe,
     piecewise_download,
     piecewise_downloads,
+    piecewise_downloads_many,
     settle_chunk,
 )
 from .traces import TraceSet, remaining_visible_time, slant_range
@@ -307,7 +310,7 @@ def baseline_handoff(
     """Separate-selection satellite rules: MVT, MRSS, or MB."""
     idx = trace.clamped_index(t)
     t = idx * trace.sample_dt  # clamp queries to the trace
-    visible = sorted(tr.sat_id for tr in trace.tracks if tr.visible[idx])
+    visible = trace.visible_at(idx)
     if not visible:
         raise PlanningError(f"no satellite visible at t={t:.3f}")
 
@@ -376,8 +379,7 @@ class _PredictingController:
         )
 
     def _visible(self, trace: TraceSet, t: float) -> list[int]:
-        idx = trace.clamped_index(t)
-        return sorted(tr.sat_id for tr in trace.tracks if tr.visible[idx])
+        return trace.visible_at(trace.clamped_index(t))
 
     def _rank_window_s(self, chunks: int) -> float:
         return max(chunks, 1) * self.video.chunk_duration_s
@@ -633,11 +635,6 @@ class SeparateController(_PredictingController):
         return Decision(res.first_bitrate_idx, sat, sat != cur)
 
 
-def _offline_actions(trace: TraceSet, t: float) -> list[int]:
-    idx = trace.clamped_index(t)
-    return [tr.sat_id for tr in trace.tracks if tr.visible[idx]]
-
-
 def offline_optimal_plan(
     trace: TraceSet, video: VideoSpec, cfg: SimConfig, dt: float | None = None
 ) -> tuple[list[Decision], float]:
@@ -647,69 +644,131 @@ def offline_optimal_plan(
     time/buffer carried along each kept path; handoffs (with delay) are
     allowed before any chunk. Returns the per-chunk decisions and the DP
     objective, which equals the realized session QoE of those decisions.
+
+    Each chunk is one numpy stage over (state x satellite x rung): the
+    waits come from one piecewise_downloads_many walk per satellite, and
+    the candidates, laid out in stage order, then track order, then
+    ascending rung, are settled and scored elementwise with the scalar
+    DP's floats. The merge keeps the tie rules of a dict filled in that
+    order: a key keeps its first candidate with the highest QoE (a later
+    one replaces it only on a strictly greater value), and the new stage
+    lists keys by their first candidate. The final state is the max over
+    (QoE,) + key.
     """
     dt = cfg.dt_s if dt is None else dt
     if dt <= 0:
         raise PlanningError("dt must be > 0")
-    ladder = video.bitrate_ladder_mbps
+    ladder = np.asarray(video.bitrate_ladder_mbps)
     sizes = video.chunk_sizes_mb
-    series = {tr.sat_id: RateSeries.for_satellite(trace, tr.sat_id) for tr in trace.tracks}
+    n_rungs = len(sizes)
+    gain = cfg.mu1 * ladder
+    switch = cfg.mu3 * np.abs(ladder[None, :] - ladder[:, None])  # [prev, rung]
+    delay, chunk_s, max_buf = cfg.handoff_delay_s, video.chunk_duration_s, cfg.max_buffer_s
+    sat_ids = np.array(trace.sat_ids)
+    series = [RateSeries.for_satellite(trace, sat) for sat in trace.sat_ids]
+    n_sats = len(series)
+    n_cells = n_sats * n_rungs
+    n_kb = int(max_buf / dt) + 1
+    last_sample = trace.n_samples - 1
     start = simcore.initial_state(trace, video, cfg)
 
-    init_key = (0, 0, start.last_bitrate_idx, start.current_satellite)
-    stage = {init_key: (0.0, 0.0, 0.0)}
-    parents: list[dict] = []
-
-    for k in range(video.n_chunks):
-        new_stage: dict = {}
-        par: dict = {}
-        for key, (q, t, buf) in stage.items():
-            prev_idx, cur_sat = key[2], key[3]
-            for sat in _offline_actions(trace, t):
-                handoff = sat != cur_sat
-                start_t = t + cfg.handoff_delay_s if handoff else t
-                dls = piecewise_downloads(series[sat], start_t, sizes, cfg.rtt_s)
-                for rate_idx, dl in enumerate(dls):
-                    if dl is None:
-                        break  # sizes ascend, so every larger rung is unbounded too
-                    wait = cfg.handoff_delay_s + dl if handoff else dl
-                    rebuf, new_buf, drain = settle_chunk(
-                        buf, wait, video.chunk_duration_s, cfg.max_buffer_s
-                    )
-                    smooth = (
-                        0.0
-                        if k == 0
-                        else cfg.mu3 * abs(ladder[rate_idx] - ladder[prev_idx])
-                    )
-                    new_q = q + cfg.mu1 * ladder[rate_idx] - cfg.mu2 * rebuf - smooth
-                    new_t = t + wait
-                    if drain > 0.0:
-                        new_t += drain
-                    new_key = (int(new_t / dt), int(new_buf / dt), rate_idx, sat)
-                    cur_entry = new_stage.get(new_key)
-                    if cur_entry is None or new_q > cur_entry[0]:
-                        new_stage[new_key] = (new_q, new_t, new_buf)
-                        par[new_key] = key
-        if not new_stage:
+    def expand(k, q, t, buf, rung, sat):
+        """Stage k: every bounded (state, track, rung) candidate, merged by
+        key. Returns the new stage's QoE, time, buffer, rung and satellite
+        id, and each new state's parent index. Works in place where it
+        can: the candidate arrays dominate the DP's memory."""
+        # clamped_index of every state's time, then the visible tracks.
+        sample = np.clip(t / trace.sample_dt, 0, last_sample).astype(np.int64)
+        visible = trace.visibility[:, sample]
+        waits = np.full((len(q), n_sats, n_rungs), np.nan)
+        for col in range(n_sats):
+            states = np.flatnonzero(visible[col])
+            if not states.size:
+                continue
+            handoff = sat[states] != sat_ids[col]
+            starts = np.where(handoff, t[states] + delay, t[states])
+            dls = piecewise_downloads_many(series[col], starts, sizes, cfg.rtt_s)
+            waits[states, col] = np.where(handoff[:, None], delay + dls, dls)
+        waits = waits.ravel()
+        pos = np.flatnonzero(~np.isnan(waits))  # NaN: unbounded or not visible
+        if not pos.size:
             raise PlanningError(f"offline search dead-ended at chunk {k}")
-        parents.append(par)
-        stage = new_stage
+        wait = waits[pos]
+        parent, cell = np.divmod(pos, n_cells)  # cell: track row * n_rungs + rung
+        del waits, pos
+        new_rung = cell % n_rungs
+        new_t = t[parent]
+        new_t += wait
+        # settle_chunk, with the floats of its max(0.0, x) calls.
+        new_buf = buf[parent]
+        new_buf -= wait
+        new_buf[~(new_buf > 0.0)] = 0.0
+        rebuf = wait  # in place: wait is not needed again
+        rebuf -= buf[parent]
+        rebuf[~(rebuf > 0.0)] = 0.0
+        new_buf += chunk_s
+        over = new_buf > max_buf
+        new_t[over] += new_buf[over] - max_buf
+        new_buf[over] = max_buf
+        new_q = q[parent]
+        new_q += gain[new_rung]
+        rebuf *= cfg.mu2
+        new_q -= rebuf
+        del rebuf
+        if k:  # chunk 0 has no smoothness term
+            new_q -= switch[rung[parent], new_rung]
 
-    best_key = max(stage, key=lambda key: (stage[key][0],) + key)
-    best_q = stage[best_key][0]
+        # One int64 per (time, buffer, rung, satellite) key: no buffer
+        # exceeds max_buf, so the buffer index is below n_kb and the packing
+        # is injective while it fits; past that, the keys are numbered.
+        kt = (new_t / dt).astype(np.int64)
+        kb = (new_buf / dt).astype(np.int64)
+        if (int(new_t.max() / dt) + 1) * n_kb * n_cells < 2**63:
+            key = kt  # in place: kt is not needed again
+            key *= n_kb
+            key += kb
+            del kb
+            key *= n_cells
+            key += cell
+        else:
+            keys = np.stack((kt, kb, cell))
+            key = np.unique(keys, axis=1, return_inverse=True)[1].reshape(-1)
+        # Best QoE first, ties in candidate order; then grouped by key. The
+        # first row of a group is the candidate the scalar merge keeps.
+        order = np.argsort(-new_q, kind="stable")
+        order = order[np.argsort(key[order], kind="stable")]
+        key = key[order]
+        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        # Winners listed by the first candidate of their key.
+        keep = order[first][np.argsort(np.minimum.reduceat(order, first))]
+        return (
+            new_q[keep], new_t[keep], new_buf[keep], new_rung[keep],
+            sat_ids[cell[keep] // n_rungs], parent[keep],
+        )
+
+    q, t, buf = np.zeros(1), np.zeros(1), np.zeros(1)
+    rung = np.array([start.last_bitrate_idx])
+    sat = np.array([start.current_satellite])
+    back: list[tuple] = []  # per stage: rung, satellite and parent of each state
+    for k in range(video.n_chunks):
+        q, t, buf, rung, sat, parent = expand(k, q, t, buf, rung, sat)
+        back.append((rung, sat, parent))
+
+    kt, kb = (t / dt).astype(np.int64), (buf / dt).astype(np.int64)
+    best = int(np.lexsort((sat, rung, kb, kt, q))[-1])
+    best_q = float(q[best])
 
     path = []
-    key = best_key
-    for par in reversed(parents):
-        path.append((key[2], key[3]))
-        key = par[key]
+    for rungs, sats, parents in reversed(back):
+        path.append((int(rungs[best]), int(sats[best])))
+        best = parents[best]
     path.reverse()
 
     decisions = []
     prev_sat = start.current_satellite
-    for rate_idx, sat in path:
-        decisions.append(Decision(rate_idx, sat, sat != prev_sat))
-        prev_sat = sat
+    for rate_idx, sat_id in path:
+        decisions.append(Decision(rate_idx, sat_id, sat_id != prev_sat))
+        prev_sat = sat_id
     return decisions, best_q
 
 

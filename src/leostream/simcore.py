@@ -112,6 +112,10 @@ class QoEBreakdown:
     qoe_total: float
     per_chunk: tuple[ChunkOutcome, ...] = field(repr=False, default=())
 
+    @property
+    def handoff_count(self) -> int:
+        return sum(1 for oc in self.per_chunk if oc.handoff_performed)
+
 
 class RateSeries:
     """Piecewise-constant Mbps: value i holds on [anchor + i*dt, anchor + (i+1)*dt).
@@ -125,7 +129,7 @@ class RateSeries:
     on every segment of the planners' inner loop.
     """
 
-    __slots__ = ("anchor_t", "sample_dt", "rates", "_values", "_last")
+    __slots__ = ("anchor_t", "sample_dt", "rates", "_values", "_last", "_next_positive")
 
     def __init__(self, anchor_t: float, sample_dt: float, rates):
         self.anchor_t = anchor_t
@@ -135,6 +139,7 @@ class RateSeries:
             raise ValueError("RateSeries needs at least one sample")
         self._values = self.rates.tolist()
         self._last = len(self._values) - 1
+        self._next_positive = None
 
     @classmethod
     def constant(cls, rate_mbps: float) -> "RateSeries":
@@ -162,6 +167,18 @@ class RateSeries:
                 return self._values[idx], edge
             idx += 1
         return self._values[last], math.inf
+
+    def next_positive(self) -> np.ndarray:
+        """Entry i: the first sample j >= i with a positive rate, or
+        len(rates) when every sample from i on is zero. Built on first use.
+        """
+        table = self._next_positive
+        if table is None:
+            positive = np.flatnonzero(self.rates > 0)
+            ends = np.append(positive, len(self.rates))
+            table = ends[np.searchsorted(positive, np.arange(len(self.rates)))]
+            self._next_positive = table
+        return table
 
     def scaled(self, factor: float) -> "RateSeries":
         return RateSeries(self.anchor_t, self.sample_dt, self.rates * factor)
@@ -200,6 +217,64 @@ def piecewise_downloads(
         elif seg_end == math.inf:
             return waits + [None] * len(pending)
         t = seg_end
+
+
+def piecewise_downloads_many(
+    series: RateSeries, starts, sizes_mb, rtt_s: float
+) -> np.ndarray:
+    """piecewise_downloads for many start times at once, as an (S x R) array.
+
+    Entry [i, k] is bit-identical to piecewise_downloads(series,
+    starts[i], sizes_mb, rtt_s)[k], or NaN where that entry is None.
+    Each pass of the loop advances every walking start by one segment:
+    the lookup repeats rate_and_edge's arithmetic elementwise, and the
+    finish times and remainders are the same IEEE operations in the same
+    order as the scalar walk. A start on a zero-rate sample jumps to the
+    next positive sample in one step; it lands on anchor + j*dt, the
+    edge the segment-by-segment walk reaches. A start stops walking once
+    its largest size finishes or becomes unbounded.
+    """
+    starts = np.asarray(starts, dtype=float)
+    sizes = np.asarray(sizes_mb, dtype=float)
+    out = np.full((len(starts), len(sizes)), np.nan)
+    anchor, dt, rates = series.anchor_t, series.sample_dt, series.rates
+    last = len(rates) - 1
+    next_positive = series.next_positive()
+    rows = np.arange(len(starts))  # the starts still walking
+    start = starts
+    t = starts + rtt_s
+    remaining = np.broadcast_to(sizes, out.shape).copy()  # NaN once finished
+    waits = out.copy()
+    # Zero rates divide into inf or NaN; those entries are masked out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while rows.size:
+            idx = np.minimum(np.maximum((t - anchor) / dt, 0), last).astype(np.int64)
+            edge = anchor + (idx + 1) * dt
+            stale = (edge <= t) & (idx < last)
+            while stale.any():  # t sits on the edge that closes segment idx
+                idx += stale
+                edge = anchor + (idx + 1) * dt
+                stale = (edge <= t) & (idx < last)
+            edge = np.where(idx < last, edge, np.inf)
+            rate = rates[idx]
+            moving = rate > 0
+            finish = remaining / rate[:, None]
+            finish += t[:, None]
+            done = finish <= edge[:, None]
+            done &= moving[:, None]
+            finish -= start[:, None]
+            np.copyto(waits, finish, where=done)
+            remaining -= np.where(moving, rate * (edge - t), 0.0)[:, None]
+            remaining[done] = np.nan
+            jump = next_positive[idx]
+            t = np.where(moving, edge, anchor + jump * dt)
+            retired = np.where(moving, done[:, -1], jump > last)
+            if retired.any():
+                out[rows[retired]] = waits[retired]
+                keep = ~retired
+                rows, start, t = rows[keep], start[keep], t[keep]
+                remaining, waits = remaining[keep], waits[keep]
+    return out
 
 
 def piecewise_download(
@@ -403,7 +478,7 @@ class SessionResult:
 
     @property
     def handoff_count(self) -> int:
-        return sum(1 for oc in self.breakdown.per_chunk if oc.handoff_performed)
+        return self.breakdown.handoff_count
 
 
 def run_session(
@@ -496,6 +571,7 @@ __all__ = [
     "EXTENDED_LADDER_MBPS",
     "piecewise_download",
     "piecewise_downloads",
+    "piecewise_downloads_many",
     "settle_chunk",
     "quality",
     "chunk_qoe",

@@ -135,15 +135,27 @@ class SatelliteTrack:
 
 @dataclass(frozen=True, eq=False)
 class TraceSet:
-    """Per-satellite throughput/elevation/visibility on one shared time axis."""
+    """Per-satellite throughput/elevation/visibility on one shared time axis.
+
+    The set is treated as immutable: construction caches the visibility
+    of every track as one (satellites x samples) matrix, in track order,
+    and a satellite id -> track row map.
+    """
 
     sample_dt: float
     tracks: tuple[SatelliteTrack, ...]
     meta: dict = field(default_factory=dict)
+    visibility: np.ndarray = field(init=False, repr=False)
+    _rows: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.tracks:
             raise TraceError("TraceSet needs at least one satellite")
+        rows = {}
+        for row, tr in enumerate(self.tracks):
+            if tr.sat_id in rows:
+                raise TraceError(f"duplicate satellite id {tr.sat_id}")
+            rows[tr.sat_id] = row
         n = len(self.tracks[0].throughput_mbps)
         for tr in self.tracks:
             if (
@@ -160,6 +172,9 @@ class TraceSet:
                 raise TraceError(
                     f"satellite {tr.sat_id}: nonzero throughput while invisible"
                 )
+        visibility = np.array([np.asarray(tr.visible, dtype=bool) for tr in self.tracks])
+        object.__setattr__(self, "visibility", visibility)
+        object.__setattr__(self, "_rows", rows)
 
     def __eq__(self, other):
         if not isinstance(other, TraceSet):
@@ -183,10 +198,15 @@ class TraceSet:
         return tuple(tr.sat_id for tr in self.tracks)
 
     def track(self, sat_id: int) -> SatelliteTrack:
-        for tr in self.tracks:
-            if tr.sat_id == sat_id:
-                return tr
-        raise TraceError(f"unknown satellite id {sat_id}")
+        row = self._rows.get(sat_id)
+        if row is None:
+            raise TraceError(f"unknown satellite id {sat_id}")
+        return self.tracks[row]
+
+    def visible_at(self, idx: int) -> list[int]:
+        """Ids visible at sample idx, in ascending id order."""
+        column = self.visibility[:, idx]
+        return sorted(sat for sat, row in self._rows.items() if column[row])
 
     def sample_index(self, t: float) -> int:
         if not 0.0 <= t < self.duration_s:
@@ -387,8 +407,7 @@ def inject_obstructions(
 
 def visible_satellites(trace: TraceSet, t: float) -> list[int]:
     """Ids visible at the sample containing t, in ascending id order."""
-    idx = trace.sample_index(t)
-    return sorted(tr.sat_id for tr in trace.tracks if bool(tr.visible[idx]))
+    return trace.visible_at(trace.sample_index(t))
 
 
 def remaining_visible_time(trace: TraceSet, sat_id: int, t: float) -> float:

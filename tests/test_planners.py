@@ -1,9 +1,10 @@
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leostream.planners import (
@@ -30,11 +31,12 @@ from leostream.simcore import (
     VideoSpec,
     chunk_qoe,
     initial_state,
+    piecewise_download,
     run_session,
     settle_chunk,
     step_chunk,
 )
-from leostream.traces import TraceGenConfig, gen_trace_set, inject_obstructions
+from leostream.traces import TraceGenConfig, TraceSet, gen_trace_set, inject_obstructions
 
 from conftest import make_flat_trace, suite_trace
 
@@ -629,3 +631,117 @@ def test_offline_finer_grid_never_loses(sim_cfg):
         fine = offline_optimal(trace, video, sim_cfg, 0.25)
         coarse = offline_optimal(trace, video, sim_cfg, 1.0)
         assert fine.qoe_total >= coarse.qoe_total - 1e-9
+
+
+def _scalar_offline_plan(trace, video, cfg, dt):
+    """Reference offline DP: one dict per stage, filled in stage order, then
+    track order, then ascending rung; a later candidate replaces a key only
+    on a strictly greater QoE, and each key keeps its first insertion slot."""
+    ladder = video.bitrate_ladder_mbps
+    series = {sat: RateSeries.for_satellite(trace, sat) for sat in trace.sat_ids}
+    start = initial_state(trace, video, cfg)
+    stage = {(0, 0, start.last_bitrate_idx, start.current_satellite): (0.0, 0.0, 0.0)}
+    parents = []
+    for k in range(video.n_chunks):
+        new_stage, par = {}, {}
+        for key, (q, t, buf) in stage.items():
+            idx = trace.clamped_index(t)
+            for tr in trace.tracks:
+                if not tr.visible[idx]:
+                    continue
+                sat = tr.sat_id
+                handoff = sat != key[3]
+                start_t = t + cfg.handoff_delay_s if handoff else t
+                for rate_idx, size in enumerate(video.chunk_sizes_mb):
+                    try:
+                        dl = piecewise_download(series[sat], start_t, size, cfg.rtt_s)
+                    except UnboundedDownloadError:
+                        break
+                    wait = cfg.handoff_delay_s + dl if handoff else dl
+                    rebuf, new_buf, drain = settle_chunk(
+                        buf, wait, video.chunk_duration_s, cfg.max_buffer_s
+                    )
+                    smooth = 0.0 if k == 0 else cfg.mu3 * abs(ladder[rate_idx] - ladder[key[2]])
+                    new_q = q + cfg.mu1 * ladder[rate_idx] - cfg.mu2 * rebuf - smooth
+                    new_t = t + wait
+                    if drain > 0.0:
+                        new_t += drain
+                    new_key = (int(new_t / dt), int(new_buf / dt), rate_idx, sat)
+                    if new_key not in new_stage or new_q > new_stage[new_key][0]:
+                        new_stage[new_key] = (new_q, new_t, new_buf)
+                        par[new_key] = key
+        if not new_stage:
+            raise PlanningError(f"offline search dead-ended at chunk {k}")
+        parents.append(par)
+        stage = new_stage
+    key = max(stage, key=lambda key: (stage[key][0],) + key)
+    best_q = stage[key][0]
+    path = []
+    for par in reversed(parents):
+        path.append((key[2], key[3]))
+        key = par[key]
+    decisions, prev_sat = [], start.current_satellite
+    for rate_idx, sat in reversed(path):
+        decisions.append(Decision(rate_idx, sat, sat != prev_sat))
+        prev_sat = sat
+    return decisions, best_q
+
+
+@st.composite
+def _offline_cases(draw):
+    """Generated 2-3 satellite traces, both ladders, dt 1.0 and 0.25,
+    sessions that outlast their trace and obstruction windows; flat
+    equal-rate traces make QoE ties between keys common."""
+    ladder = draw(st.sampled_from(LADDERS))
+    dt = draw(st.sampled_from((1.0, 0.25)))
+    n_sats = draw(st.integers(2, 3))
+    small = len(ladder) == 6 and dt == 0.25
+    n_chunks = draw(st.integers(2, 5 if small else 12))
+    video = VideoSpec(n_chunks=n_chunks, bitrate_ladder_mbps=ladder)
+    duration = draw(st.sampled_from((12.0, 30.0, 60.0)))
+    if draw(st.integers(0, 3)) == 0:
+        rate = draw(st.sampled_from((0.5, 3.0, 20.0)))
+        trace = make_flat_trace([rate] * n_sats, duration_s=duration)
+    else:
+        trace = gen_trace_set(TraceGenConfig(
+            alpha=1.0, b_max_mbps=draw(st.sampled_from((4.0, 8.0))), duration_s=duration,
+            n_satellites=n_sats, min_elevation_deg=45.0, altitude_km=250.0,
+            seed=draw(st.integers(0, 10_000)),
+        ))
+    if draw(st.booleans()):
+        begin = draw(st.integers(0, int(duration) - 2))
+        end = min(duration, begin + draw(st.integers(2, 12)))
+        trace = inject_obstructions(trace, [(draw(st.integers(0, n_sats - 1)), float(begin), end)])
+    cfg = SimConfig(max_buffer_s=draw(st.sampled_from((60.0, 6.0))))
+    return trace, video, cfg, dt
+
+
+def _relabelled(trace, sat_ids):
+    """The same tracks, in the same order, under new satellite ids."""
+    tracks = tuple(dataclasses.replace(tr, sat_id=sat) for tr, sat in zip(trace.tracks, sat_ids))
+    return TraceSet(trace.sample_dt, tracks, trace.meta)
+
+
+@settings(max_examples=100)
+@given(_offline_cases())
+@example((_relabelled(make_flat_trace([20.0, 20.0, 20.0], duration_s=30.0), (2, 0, 1)),
+          VideoSpec(n_chunks=8), SimConfig(), 1.0))
+@example((make_flat_trace([20.0, 20.0], duration_s=30.0), VideoSpec(n_chunks=8), SimConfig(), 1.0))
+@example((make_flat_trace([1.0] * 3, duration_s=8.0), VideoSpec(n_chunks=8), SimConfig(), 0.25))
+def test_offline_dp_matches_scalar_reference(case):
+    trace, video, cfg, dt = case
+    decisions, value = offline_optimal_plan(trace, video, cfg, dt)
+    ref_decisions, ref_value = _scalar_offline_plan(trace, video, cfg, dt)
+    assert decisions == ref_decisions
+    assert value.hex() == ref_value.hex()
+    assert all(type(d.bitrate_idx) is int and type(d.target_satellite) is int for d in decisions)
+
+
+def test_offline_dp_fine_grid_keys_match_scalar_reference(sim_cfg):
+    # At dt = 1e-12 the packed (time, buffer, rung, satellite) key would
+    # overflow int64; the DP then numbers the keys instead.
+    trace = suite_trace(4)
+    video = VideoSpec(n_chunks=4)
+    assert offline_optimal_plan(trace, video, sim_cfg, 1e-12) == _scalar_offline_plan(
+        trace, video, sim_cfg, 1e-12
+    )

@@ -18,6 +18,7 @@ from leostream.simcore import (
     initial_state,
     piecewise_download,
     piecewise_downloads,
+    piecewise_downloads_many,
     qos,
     quality,
     session_json,
@@ -186,6 +187,57 @@ def test_piecewise_downloads_matches_per_size_walk(case):
             assert piecewise_download(series, start_t, size, rtt_s) == wait
 
 
+def test_next_positive_table():
+    series = RateSeries(0.0, 1.0, [0.0, 0.0, 3.0, 0.0, 2.0, 0.0])
+    assert series.next_positive().tolist() == [2, 2, 2, 4, 4, 6]
+    assert RateSeries.constant(0.0).next_positive().tolist() == [1]
+    assert RateSeries.constant(2.0).next_positive().tolist() == [0]
+
+
+def _zero_run(draw, n):
+    return [0.0] * draw(st.integers(0, n))
+
+
+@st.composite
+def _many_download_cases(draw):
+    """Zero runs at the start, the middle and the tail; off-grid and
+    negative anchors; one-sample series; starts before the anchor."""
+    positive = st.floats(0.05, 12.0)
+    rates = (
+        _zero_run(draw, 3)
+        + draw(st.lists(positive, max_size=3))
+        + _zero_run(draw, 4)
+        + draw(st.lists(positive, max_size=3))
+        + _zero_run(draw, 3)
+    )
+    if not rates or draw(st.booleans()):
+        rates.append(draw(st.just(0.0) | positive))
+    if draw(st.integers(0, 4)) == 0:
+        rates = rates[-1:]  # one sample, held forever
+    anchor = draw(st.sampled_from((0.0, -2.0)) | st.floats(-3.0, 3.0))
+    series = RateSeries(anchor, draw(st.sampled_from((0.25, 0.3, 0.5, 1.0, 2.0))), rates)
+    starts = draw(st.lists(st.floats(-5.0, 15.0) | st.sampled_from((anchor, anchor - 1.0)),
+                           min_size=1, max_size=8))
+    sizes = sorted(draw(st.lists(st.floats(0.01, 30.0), min_size=1, max_size=6)))
+    return series, starts, sizes, draw(st.sampled_from((0.0, 0.08)))
+
+
+@settings(max_examples=300)
+@given(_many_download_cases())
+@example((RateSeries(0.0, 1.0, [0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 4.0, 0.0]),
+          [0.0, 0.5, 2.5, 3.0, 9.0], [0.6, 2.4, 5.7, 12.0], 0.0))
+@example((RateSeries(-0.7, 0.3, [0.0, 2.0, 0.0, 0.0, 1.0]),
+          [-3.0, -0.7, 0.05, 1.0], [0.5, 1.5], 0.08))
+def test_piecewise_downloads_many_matches_scalar_walk(case):
+    series, starts, sizes, rtt_s = case
+    got = piecewise_downloads_many(series, starts, sizes, rtt_s)
+    assert got.shape == (len(starts), len(sizes))
+    for row, start_t in zip(got.tolist(), starts):
+        expected = piecewise_downloads(series, start_t, sizes, rtt_s)
+        expected = [None if w is None else w.hex() for w in expected]
+        assert [None if math.isnan(w) else w.hex() for w in row] == expected
+
+
 def test_video_spec_chunk_sizes_and_duration_check():
     video = VideoSpec(chunk_duration_s=1.5, bitrate_ladder_mbps=(0.3, 1.2, 2.85))
     assert video.chunk_sizes_mb == (0.3 * 1.5, 1.2 * 1.5, 2.85 * 1.5)
@@ -291,6 +343,16 @@ def test_session_qoe_two_chunks_no_smoothness(video, sim_cfg):
         outcomes.append(outcome)
     breakdown = session_qoe(outcomes, sim_cfg)
     assert breakdown.qoe_total == pytest.approx(5.7)
+
+
+def test_handoff_count_counts_handoff_chunks(video, sim_cfg):
+    trace = make_flat_trace([10.0, 10.0], duration_s=60.0)
+    state = initial_state(trace, video, sim_cfg)
+    outcomes = []
+    for sat, handoff in ((0, False), (1, True), (1, False), (0, True)):
+        state, outcome = step_chunk(state, Decision(1, sat, handoff), trace, video, sim_cfg)
+        outcomes.append(outcome)
+    assert session_qoe(outcomes, sim_cfg).handoff_count == 2
 
 
 def test_session_qoe_rejects_gaps(video, sim_cfg):

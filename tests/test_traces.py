@@ -5,9 +5,11 @@ import pytest
 
 from leostream.traces import (
     PassGeometry,
+    SatelliteTrack,
     TraceError,
     TraceFormatError,
     TraceGenConfig,
+    TraceSet,
     elevation_deg,
     free_space_throughput,
     gen_trace_set,
@@ -179,6 +181,30 @@ def test_visible_satellites_and_gaps():
         visible_satellites(trace, 60.0)
     with pytest.raises(TraceError):
         visible_satellites(trace, -0.1)
+
+
+def test_visibility_matrix_and_id_rows():
+    # Tracks out of id order: the matrix keeps track order, visible_at
+    # lists ids ascending.
+    tracks = make_flat_trace([5.0, 6.0, 7.0], duration_s=4.0, visible=[
+        [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0],
+    ]).tracks
+    ids = (7, 2, 4)
+    trace = TraceSet(1.0, tuple(
+        SatelliteTrack(sat, tr.passes, tr.throughput_mbps, tr.elevation_deg, tr.visible)
+        for sat, tr in zip(ids, tracks)
+    ))
+    assert trace.visibility.tolist() == [
+        [True, True, False, False], [False, True, True, False], [True, False, True, False],
+    ]
+    assert [trace.visible_at(i) for i in range(4)] == [[4, 7], [2, 7], [2, 4], []]
+    assert all(type(sat) is int for sat in trace.visible_at(0))
+    assert [trace.track(sat).sat_id for sat in (2, 4, 7)] == [2, 4, 7]
+    assert trace.track(4) is trace.tracks[2]
+    with pytest.raises(TraceError, match="unknown satellite id 3"):
+        trace.track(3)
+    with pytest.raises(TraceError, match="duplicate satellite id 7"):
+        TraceSet(1.0, (trace.tracks[0], trace.tracks[0]))
 
 
 def test_remaining_visible_time():
