@@ -668,7 +668,6 @@ def offline_optimal_plan(
     series = [RateSeries.for_satellite(trace, sat) for sat in trace.sat_ids]
     n_sats = len(series)
     n_cells = n_sats * n_rungs
-    n_kb = int(max_buf / dt) + 1
     last_sample = trace.n_samples - 1
     start = simcore.initial_state(trace, video, cfg)
 
@@ -718,27 +717,18 @@ def offline_optimal_plan(
         if k:  # chunk 0 has no smoothness term
             new_q -= switch[rung[parent], new_rung]
 
-        # One int64 per (time, buffer, rung, satellite) key: no buffer
-        # exceeds max_buf, so the buffer index is below n_kb and the packing
-        # is injective while it fits; past that, the keys are numbered.
-        kt = (new_t / dt).astype(np.int64)
-        kb = (new_buf / dt).astype(np.int64)
-        if (int(new_t.max() / dt) + 1) * n_kb * n_cells < 2**63:
-            key = kt  # in place: kt is not needed again
-            key *= n_kb
-            key += kb
-            del kb
-            key *= n_cells
-            key += cell
-        else:
-            keys = np.stack((kt, kb, cell))
-            key = np.unique(keys, axis=1, return_inverse=True)[1].reshape(-1)
-        # Best QoE first, ties in candidate order; then grouped by key. The
-        # first row of a group is the candidate the scalar merge keeps.
-        order = np.argsort(-new_q, kind="stable")
-        order = order[np.argsort(key[order], kind="stable")]
-        key = key[order]
-        first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        # The scalar key (int(t/dt), int(buf/dt), rung, satellite), with the
+        # cell standing for (rung, satellite). Integer-valued floats compare
+        # exactly as those ints do, whatever their size. lexsort is stable,
+        # so each key's rows run best QoE first, ties in candidate order:
+        # the first row is the candidate the scalar merge keeps.
+        kt, kb = np.trunc(new_t / dt), np.trunc(new_buf / dt)
+        order = np.lexsort((-new_q, cell, kb, kt))
+        kt, kb, key_cell = kt[order], kb[order], cell[order]
+        first = np.flatnonzero(np.r_[
+            True, (kt[1:] != kt[:-1]) | (kb[1:] != kb[:-1]) | (key_cell[1:] != key_cell[:-1])
+        ])
+        del kt, kb, key_cell
         # Winners listed by the first candidate of their key.
         keep = order[first][np.argsort(np.minimum.reduceat(order, first))]
         return (
@@ -754,8 +744,7 @@ def offline_optimal_plan(
         q, t, buf, rung, sat, parent = expand(k, q, t, buf, rung, sat)
         back.append((rung, sat, parent))
 
-    kt, kb = (t / dt).astype(np.int64), (buf / dt).astype(np.int64)
-    best = int(np.lexsort((sat, rung, kb, kt, q))[-1])
+    best = int(np.lexsort((sat, rung, np.trunc(buf / dt), np.trunc(t / dt), q))[-1])
     best_q = float(q[best])
 
     path = []

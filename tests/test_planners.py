@@ -712,7 +712,7 @@ def _offline_cases(draw):
         begin = draw(st.integers(0, int(duration) - 2))
         end = min(duration, begin + draw(st.integers(2, 12)))
         trace = inject_obstructions(trace, [(draw(st.integers(0, n_sats - 1)), float(begin), end)])
-    cfg = SimConfig(max_buffer_s=draw(st.sampled_from((60.0, 6.0))))
+    cfg = SimConfig(max_buffer_s=draw(st.sampled_from((60.0, 6.0, math.inf))))
     return trace, video, cfg, dt
 
 
@@ -728,6 +728,8 @@ def _relabelled(trace, sat_ids):
           VideoSpec(n_chunks=8), SimConfig(), 1.0))
 @example((make_flat_trace([20.0, 20.0], duration_s=30.0), VideoSpec(n_chunks=8), SimConfig(), 1.0))
 @example((make_flat_trace([1.0] * 3, duration_s=8.0), VideoSpec(n_chunks=8), SimConfig(), 0.25))
+@example((make_flat_trace([20.0, 20.0], duration_s=30.0), VideoSpec(n_chunks=8),
+          SimConfig(max_buffer_s=math.inf), 1.0))
 def test_offline_dp_matches_scalar_reference(case):
     trace, video, cfg, dt = case
     decisions, value = offline_optimal_plan(trace, video, cfg, dt)
@@ -737,11 +739,20 @@ def test_offline_dp_matches_scalar_reference(case):
     assert all(type(d.bitrate_idx) is int and type(d.target_satellite) is int for d in decisions)
 
 
-def test_offline_dp_fine_grid_keys_match_scalar_reference(sim_cfg):
-    # At dt = 1e-12 the packed (time, buffer, rung, satellite) key would
-    # overflow int64; the DP then numbers the keys instead.
-    trace = suite_trace(4)
+@pytest.mark.parametrize("dt", [1e-12, 1e-20])
+def test_offline_dp_fine_grid_keys_match_scalar_reference(sim_cfg, dt):
+    # At these grids t/dt passes 2**40 and 2**63: every candidate keeps its
+    # own key, as the scalar DP's Python ints keep them apart. On the
+    # stepped trace, merging keys (as a wrapped int64 cast would) loses the
+    # optimum.
+    steps = ((3.0, 1.0, 0.5, 0.5, 0.2, 0.2), (0.2, 0.2, 8.0, 3.0, 8.0, 1.0))
+    flat = make_flat_trace([1.0, 1.0], duration_s=30.0)
+    stepped = TraceSet(flat.sample_dt, tuple(
+        dataclasses.replace(tr, throughput_mbps=np.repeat(rates, 5))
+        for tr, rates in zip(flat.tracks, steps)
+    ), flat.meta)
     video = VideoSpec(n_chunks=4)
-    assert offline_optimal_plan(trace, video, sim_cfg, 1e-12) == _scalar_offline_plan(
-        trace, video, sim_cfg, 1e-12
-    )
+    for trace in (suite_trace(4), stepped):
+        assert offline_optimal_plan(trace, video, sim_cfg, dt) == _scalar_offline_plan(
+            trace, video, sim_cfg, dt
+        )
