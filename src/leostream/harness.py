@@ -44,12 +44,10 @@ ALL_CONTROLLERS = SEPARATE_CONTROLLERS + JOINT_CONTROLLERS + (
     "offline-optimal",
 )
 
-RESULT_COLUMNS = (
-    "controller",
-    "predictor",
-    "n_users",
-    "trace_id",
-    "seed",
+# A result row's cell key, then its payload values. The result files,
+# ResultRow.key() and read_result_rows take their columns from these.
+KEY_COLUMNS = ("controller", "predictor", "n_users", "trace_id", "seed")
+RESULT_COLUMNS = KEY_COLUMNS + (
     "qoe_total",
     "quality",
     "rebuf_penalty",
@@ -101,6 +99,12 @@ class ExperimentConfig:
             raise ConfigError("background_users must be >= 0")
         if self.jobs < 1:
             raise ConfigError("jobs must be >= 1")
+        if self.horizon < 1:
+            raise ConfigError("horizon must be >= 1")
+        for name in ("dp_dt", "offline_dt"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ConfigError(f"{name} must be > 0")
 
 
 def _parse_ladder(value) -> tuple[float, ...]:
@@ -171,7 +175,10 @@ class ResultRow:
     mean_decision_ms: float
 
     def key(self) -> tuple:
-        return (self.controller, self.predictor, self.n_users, self.trace_id, self.seed)
+        return tuple(getattr(self, c) for c in KEY_COLUMNS)
+
+    def values(self, columns=RESULT_COLUMNS) -> list:
+        return [getattr(self, c) for c in columns]
 
 
 def build_controller(
@@ -215,13 +222,15 @@ def _trace_for_rep(exp: ExperimentConfig, rep: int) -> tuple[str, int, TraceSet]
     return path.stem, seed, read_trace(path)
 
 
-def _breakdown_means(breakdowns: list[QoEBreakdown]) -> tuple[float, float, float, float]:
+def _breakdown_means(breakdowns: list[QoEBreakdown]) -> tuple[float, ...]:
+    """Per-user means in RESULT_COLUMNS order, qoe_total to handoff_count."""
     n = len(breakdowns)
     qoe = sum(b.qoe_total for b in breakdowns) / n
     quality = sum(b.quality_total for b in breakdowns) / n
     rebuf = sum(b.rebuf_penalty_total for b in breakdowns) / n
     smooth = sum(b.smooth_penalty_total for b in breakdowns) / n
-    return qoe, quality, rebuf, smooth
+    handoffs = sum(float(b.handoff_count) for b in breakdowns) / n
+    return qoe, quality, rebuf, smooth, handoffs
 
 
 def run_cell(
@@ -243,19 +252,10 @@ def run_cell(
             )
         t0 = _time.perf_counter()
         breakdown = offline_optimal(trace, video, sim, exp.offline_dt)
-        elapsed = _time.perf_counter() - t0
+        mean_ms = 1000.0 * (_time.perf_counter() - t0) / video.n_chunks
         return ResultRow(
-            controller_name,
-            exp.predictor,
-            n_users,
-            trace_id,
-            seed,
-            breakdown.qoe_total,
-            breakdown.quality_total,
-            breakdown.rebuf_penalty_total,
-            breakdown.smooth_penalty_total,
-            float(breakdown.handoff_count),
-            1000.0 * elapsed / video.n_chunks,
+            controller_name, exp.predictor, n_users, trace_id, seed,
+            *_breakdown_means([breakdown]), mean_ms,
         ), []
 
     if controller_name == "centralized":
@@ -280,7 +280,6 @@ def run_cell(
         session = run_session(trace, controllers[0], video, sim)
         latencies = list(session.decision_latencies_s)
         breakdowns = [session.breakdown]
-        handoffs = [float(session.handoff_count)]
     else:
         scenario = MultiUserScenario(
             trace=trace, controllers=controllers, n_background=exp.background_users
@@ -289,10 +288,8 @@ def run_cell(
         if result.failures:
             raise RuntimeError(f"user failures: {result.failures}")
         breakdowns = [b for b in result.per_user if b is not None]
-        handoffs = [float(b.handoff_count) for b in breakdowns]
         latencies = [lat for per_user in result.decision_latencies_s for lat in per_user]
 
-    qoe, quality, rebuf, smooth = _breakdown_means(breakdowns)
     mean_ms = 1000.0 * sum(latencies) / len(latencies) if latencies else 0.0
     candidate_rows = []
     if exp.dump_candidates:
@@ -300,17 +297,8 @@ def run_cell(
             for chunk, sat, h, qoe_val in getattr(ctrl, "candidate_rows", []):
                 candidate_rows.append((uid, chunk, sat, h, qoe_val))
     return ResultRow(
-        controller_name,
-        exp.predictor,
-        n_users,
-        trace_id,
-        seed,
-        qoe,
-        quality,
-        rebuf,
-        smooth,
-        sum(handoffs) / len(handoffs),
-        mean_ms,
+        controller_name, exp.predictor, n_users, trace_id, seed,
+        *_breakdown_means(breakdowns), mean_ms,
     ), candidate_rows
 
 
@@ -372,40 +360,12 @@ def write_results(out_dir: str | Path, output: RunOutput) -> dict[str, Path]:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
-    for row in output.rows:
-        writer.writerow(
-            [
-                row.controller,
-                row.predictor,
-                row.n_users,
-                row.trace_id,
-                row.seed,
-                repr(row.qoe_total),
-                repr(row.quality),
-                repr(row.rebuf_penalty),
-                repr(row.smooth_penalty),
-                repr(row.handoff_count),
-            ]
-        )
+    writer.writerows(row.values() for row in output.rows)
     csv_path.write_text(buf.getvalue(), encoding="utf-8")
 
     json_path = out / "results.json"
     payload = {
-        "rows": [
-            {
-                "controller": row.controller,
-                "predictor": row.predictor,
-                "n_users": row.n_users,
-                "trace_id": row.trace_id,
-                "seed": row.seed,
-                "qoe_total": row.qoe_total,
-                "quality": row.quality,
-                "rebuf_penalty": row.rebuf_penalty,
-                "smooth_penalty": row.smooth_penalty,
-                "handoff_count": row.handoff_count,
-            }
-            for row in output.rows
-        ],
+        "rows": [dict(zip(RESULT_COLUMNS, row.values())) for row in output.rows],
         "failures": {" / ".join(map(str, k)): v for k, v in output.failures.items()},
     }
     json_path.write_text(
@@ -415,20 +375,10 @@ def write_results(out_dir: str | Path, output: RunOutput) -> dict[str, Path]:
     timing_path = out / "timing.csv"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        ["controller", "predictor", "n_users", "trace_id", "seed", "mean_decision_ms"]
+    writer.writerow(KEY_COLUMNS + ("mean_decision_ms",))
+    writer.writerows(
+        row.values(KEY_COLUMNS) + [f"{row.mean_decision_ms:.6f}"] for row in output.rows
     )
-    for row in output.rows:
-        writer.writerow(
-            [
-                row.controller,
-                row.predictor,
-                row.n_users,
-                row.trace_id,
-                row.seed,
-                f"{row.mean_decision_ms:.6f}",
-            ]
-        )
     timing_path.write_text(buf.getvalue(), encoding="utf-8")
 
     paths = {"csv": csv_path, "json": json_path, "timing": timing_path}
@@ -437,13 +387,9 @@ def write_results(out_dir: str | Path, output: RunOutput) -> dict[str, Path]:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(
-            [
-                "controller", "predictor", "n_users", "trace_id", "seed",
-                "user", "chunk_index", "satellite", "handoff_point", "best_qoe",
-            ]
+            KEY_COLUMNS + ("user", "chunk_index", "satellite", "handoff_point", "best_qoe")
         )
-        for rec in output.candidate_rows:
-            writer.writerow([*rec[:9], repr(rec[9])])
+        writer.writerows(output.candidate_rows)
         cand_path.write_text(buf.getvalue(), encoding="utf-8")
         paths["candidates"] = cand_path
     return paths
@@ -467,26 +413,15 @@ def gen_traces(exp: ExperimentConfig, out_dir: str | Path) -> list[Path]:
 
 
 def read_result_rows(path: str | Path) -> list[ResultRow]:
-    rows = []
+    parse = {"controller": str, "predictor": str, "n_users": int, "trace_id": str, "seed": int}
     with Path(path).open(encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        for rec in reader:
-            rows.append(
-                ResultRow(
-                    controller=rec["controller"],
-                    predictor=rec["predictor"],
-                    n_users=int(rec["n_users"]),
-                    trace_id=rec["trace_id"],
-                    seed=int(rec["seed"]),
-                    qoe_total=float(rec["qoe_total"]),
-                    quality=float(rec["quality"]),
-                    rebuf_penalty=float(rec["rebuf_penalty"]),
-                    smooth_penalty=float(rec["smooth_penalty"]),
-                    handoff_count=float(rec["handoff_count"]),
-                    mean_decision_ms=0.0,
-                )
+        return [
+            ResultRow(
+                *(parse.get(c, float)(rec[c]) for c in RESULT_COLUMNS),
+                mean_decision_ms=0.0,
             )
-    return rows
+            for rec in csv.DictReader(f)
+        ]
 
 
 @dataclass
@@ -557,32 +492,8 @@ def write_summary(out_dir: str | Path, summary: list[SummaryRow]) -> Path:
     path = out / "summary.csv"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(
-        [
-            "n_users",
-            "controller",
-            "n_cells",
-            "mean_qoe",
-            "median_qoe",
-            "p10_qoe",
-            "p90_qoe",
-            "improvement_over_best_separate_pct",
-        ]
-    )
-    for row in summary:
-        writer.writerow(
-            [
-                row.n_users,
-                row.controller,
-                row.n_cells,
-                repr(row.mean_qoe),
-                repr(row.median_qoe),
-                repr(row.p10_qoe),
-                repr(row.p90_qoe),
-                "" if row.improvement_over_best_separate_pct is None
-                else repr(row.improvement_over_best_separate_pct),
-            ]
-        )
+    writer.writerow(f.name for f in dataclasses.fields(SummaryRow))
+    writer.writerows(dataclasses.astuple(row) for row in summary)
     path.write_text(buf.getvalue(), encoding="utf-8")
     return path
 

@@ -20,10 +20,12 @@ import numpy as np
 
 from . import simcore
 from .planners import (
-    PlanInstance,
+    JointMpcController,
     PlanningError,
-    _PredictingController,
+    PlanOption,
+    UserPlanView,
     f_sat_dpmpc,
+    handoff_options,
     select_candidates,
 )
 from .simcore import (
@@ -441,29 +443,13 @@ def result_json(result: MultiUserResult, include_share_events: bool = False) -> 
 
 
 @dataclass
-class UserPlanView:
-    """One user's planning inputs as seen by the centralized coordinator."""
-
-    user_id: int
-    buffer_s: float
-    last_bitrate_idx: int
-    start_t: float
-    current_satellite: int
-    previous_satellite: int | None
-    links: dict[int, RateSeries]
-    scalars: dict[int, float]
-    visible: list[int]
-    horizon: int
-
-
-@dataclass
 class CentralizedDecision:
     decisions: dict[int, Decision]
     objective: float
     per_user_qoe: dict[int, float]
 
 
-def _best_handoff_option(
+def _best_option(
     view: UserPlanView,
     target: int,
     scale_cur: float,
@@ -471,47 +457,23 @@ def _best_handoff_option(
     video: VideoSpec,
     cfg: SimConfig,
     dp_dt: float,
-) -> tuple[float, int | None, tuple[int, ...]]:
-    """Best (qoe, h, plan) for one user given a target satellite assignment."""
-    cur_link = view.links[view.current_satellite].scaled(scale_cur)
+) -> PlanOption:
+    """Best option for one user given a target satellite assignment."""
+
+    def solve(inst):
+        return f_sat_dpmpc(inst, dp_dt)
+
+    stay = view.stay_instance(
+        view.links[view.current_satellite].scaled(scale_cur), video, cfg
+    )
     if target == view.current_satellite:
-        inst = PlanInstance(
-            horizon=view.horizon,
-            buffer_s=view.buffer_s,
-            last_bitrate_idx=view.last_bitrate_idx,
-            start_t=view.start_t,
-            handoff_chunk=None,
-            current_link=cur_link,
-            target_link=None,
-            video=video,
-            sim=cfg,
-        )
-        res = f_sat_dpmpc(inst, dp_dt)
-        return res.best_qoe, None, res.full_bitrate_plan
-    target_link = view.links[target].scaled(scale_target)
-    best = None
-    for h in range(1, view.horizon + 1):
-        inst = PlanInstance(
-            horizon=view.horizon,
-            buffer_s=view.buffer_s,
-            last_bitrate_idx=view.last_bitrate_idx,
-            start_t=view.start_t,
-            handoff_chunk=h,
-            current_link=cur_link,
-            target_link=target_link,
-            video=video,
-            sim=cfg,
-        )
-        try:
-            res = f_sat_dpmpc(inst, dp_dt)
-        except simcore.UnboundedDownloadError:
-            continue
-        key = (res.best_qoe, h, res.first_bitrate_idx)
-        if best is None or key > best[0]:
-            best = (key, h, res.full_bitrate_plan)
-    if best is None:
+        return PlanOption(target, None, solve(stay))
+    options = handoff_options(
+        stay, target, view.links[target].scaled(scale_target), solve
+    )
+    if not options:
         raise simcore.UnboundedDownloadError("no feasible handoff plan")
-    return best[0][0], best[1], best[2]
+    return max(options, key=PlanOption.rank)
 
 
 def centralized_mpc_decide(
@@ -570,14 +532,14 @@ def centralized_mpc_decide(
             scale_cur = 1.0 / max(1, current_counts.get(view.current_satellite, 0))
             scale_target = 1.0 / max(1, target_counts.get(target, 0))
             try:
-                qoe, h, plan = _best_handoff_option(
+                option = _best_option(
                     view, target, scale_cur, scale_target, video, cfg, dp_dt
                 )
             except simcore.UnboundedDownloadError:
                 feasible = False
                 break
-            total += qoe
-            options.append((target, h, plan, qoe))
+            total += option.result.best_qoe
+            options.append(option)
         if not feasible:
             continue
         if best_total is None or total > best_total:
@@ -589,12 +551,13 @@ def centralized_mpc_decide(
 
     decisions = {}
     per_user_qoe = {}
-    for view, (target, h, plan, qoe) in zip(views, best_options):
-        per_user_qoe[view.user_id] = qoe
-        if target != view.current_satellite and h == 1:
-            decisions[view.user_id] = Decision(plan[0], target, True)
+    for view, option in zip(views, best_options):
+        per_user_qoe[view.user_id] = option.result.best_qoe
+        first = option.result.first_bitrate_idx
+        if option.handoff_chunk == 1:
+            decisions[view.user_id] = Decision(first, option.satellite, True)
         else:
-            decisions[view.user_id] = Decision(plan[0], view.current_satellite, False)
+            decisions[view.user_id] = Decision(first, view.current_satellite, False)
     return CentralizedDecision(
         decisions=decisions, objective=best_total, per_user_qoe=per_user_qoe
     )
@@ -606,7 +569,9 @@ class CentralizedCoordinator:
 
     Invoked at each user's own chunk boundary; plans jointly over all
     users' latest settled states but applies only the deciding user's
-    action (the others re-plan at their own boundaries).
+    action (the others re-plan at their own boundaries). Each user's
+    predictions, no-bounce-back exclusion and handoff record live in its
+    own joint:dual controller, whose planning view the search reads.
     """
 
     def __init__(
@@ -623,54 +588,27 @@ class CentralizedCoordinator:
         self.horizon = horizon
         self.dp_dt = cfg.dt_s if dp_dt is None else dp_dt
         self.max_users = max_users
-        self._delegates: dict[int, _PredictingController] = {}
-        self.previous_satellite: dict[int, int | None] = {}
-        self._last_handoff_chunk: dict[int, int | None] = {}
         self.predictor = predictor
+        self._users: dict[int, JointMpcController] = {}
 
-    def _delegate(self, uid: int):
-        if uid not in self._delegates:
-            self._delegates[uid] = _PredictingController(
-                self.video, self.cfg, self.predictor, self.horizon
+    def _user(self, uid: int) -> JointMpcController:
+        if uid not in self._users:
+            self._users[uid] = JointMpcController(
+                self.video, self.cfg, mode="dual", predictor=self.predictor,
+                search="dp", horizon=self.horizon, dp_dt=self.dp_dt,
             )
-            self.previous_satellite.setdefault(uid, None)
-        return self._delegates[uid]
+        return self._users[uid]
 
     def observe_start_user(self, uid: int, trace: TraceSet, state: PlayerState) -> None:
-        self._delegate(uid).observe_start(trace, state)
+        self._user(uid).observe_start(trace, state)
 
     def observe_chunk_user(self, uid: int, trace: TraceSet, state, outcome) -> None:
-        self._delegate(uid).observe_chunk(trace, state, outcome)
+        self._user(uid).observe_chunk(trace, state, outcome)
 
     def _view(self, uid: int, state: PlayerState, trace: TraceSet) -> UserPlanView:
-        delegate = self._delegate(uid)
-        chunks = min(self.horizon, self.video.n_chunks - state.chunk_index)
-        chunks = max(1, chunks)
-        t = state.wallclock_s
-        visible = delegate._visible(trace, t)
-        prev = self.previous_satellite.get(uid)
-        if prev is not None:
-            last_handoff = self._last_handoff_chunk.get(uid)
-            expired = (
-                last_handoff is not None
-                and state.chunk_index - last_handoff >= self.horizon
-            )
-            if expired or prev not in visible:
-                self.previous_satellite[uid] = None
-        sats = sorted(set(visible) | {state.current_satellite})
-        links, scalars = delegate._predictions(trace, t, sats, chunks)
-        return UserPlanView(
-            user_id=uid,
-            buffer_s=state.buffer_s,
-            last_bitrate_idx=state.last_bitrate_idx,
-            start_t=t,
-            current_satellite=state.current_satellite,
-            previous_satellite=self.previous_satellite.get(uid),
-            links=links,
-            scalars=scalars,
-            visible=visible,
-            horizon=chunks,
-        )
+        user = self._user(uid)
+        visible = user._visible(trace, state.wallclock_s)
+        return user.plan_view(state, trace, visible, user_id=uid)
 
     def decide_multi(
         self, uid: int, states: list[PlayerState], trace: TraceSet
@@ -687,6 +625,5 @@ class CentralizedCoordinator:
         )
         decision = result.decisions[uid]
         if decision.handoff_now:
-            self.previous_satellite[uid] = states[uid].current_satellite
-            self._last_handoff_chunk[uid] = states[uid].chunk_index
+            self._user(uid).record_handoff(states[uid])
         return decision

@@ -16,7 +16,7 @@ dynamic program over the full session are included for comparison runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -338,6 +338,74 @@ def baseline_handoff(
 
 
 @dataclass
+class UserPlanView:
+    """One user's planning inputs at a chunk boundary: the joint controller
+    plans from one, and the centralized coordinator gathers one per user.
+    previous_satellite is the satellite the dual rule may not hand back to.
+    """
+
+    user_id: int
+    buffer_s: float
+    last_bitrate_idx: int
+    start_t: float
+    current_satellite: int
+    previous_satellite: int | None
+    links: dict[int, RateSeries]
+    scalars: dict[int, float]
+    visible: list[int]
+    horizon: int
+
+    def stay_instance(self, link: RateSeries, video: VideoSpec, cfg: SimConfig) -> PlanInstance:
+        """The no-handoff instance on link; handoff_options derives the rest."""
+        return PlanInstance(
+            horizon=self.horizon,
+            buffer_s=self.buffer_s,
+            last_bitrate_idx=self.last_bitrate_idx,
+            start_t=self.start_t,
+            handoff_chunk=None,
+            current_link=link,
+            target_link=None,
+            video=video,
+            sim=cfg,
+        )
+
+
+@dataclass(frozen=True)
+class PlanOption:
+    """A solved option: stay (handoff_chunk None) or hand off to satellite."""
+
+    satellite: int
+    handoff_chunk: int | None
+    result: PlanResult
+
+    def rank(self) -> tuple:
+        """Higher QoE, then stay over handoff, later handoff point, lower
+        satellite id, higher first bitrate."""
+        h = self.handoff_chunk
+        return (
+            self.result.best_qoe, h is None, h or 0, -self.satellite,
+            self.result.first_bitrate_idx,
+        )
+
+
+def handoff_options(
+    stay: PlanInstance, target: int, target_link: RateSeries, solve
+) -> list[PlanOption]:
+    """Every bounded handoff onto target: stay solved with the handoff at
+    each h in [1, stay.horizon]. Points whose plans are all unbounded are
+    skipped. For one target, PlanOption.rank orders the result by (QoE, h,
+    first bitrate)."""
+    options = []
+    for h in range(1, stay.horizon + 1):
+        try:
+            res = solve(replace(stay, handoff_chunk=h, target_link=target_link))
+        except UnboundedDownloadError:
+            continue
+        options.append(PlanOption(target, h, res))
+    return options
+
+
+@dataclass
 class DecisionStats:
     inner_calls: int = 0
     best_qoe: float = NEG_INF
@@ -496,6 +564,44 @@ class JointMpcController(_PredictingController):
             return f_mpc(inst)
         return f_sat_mpc(inst)
 
+    def record_handoff(self, state: PlayerState) -> None:
+        """Note a handoff away from state's satellite, decided at its chunk."""
+        self.previous_satellite = state.current_satellite
+        self._last_handoff_chunk = state.chunk_index
+
+    def plan_view(
+        self, state: PlayerState, trace: TraceSet, visible: list[int], user_id: int = 0
+    ) -> UserPlanView:
+        """This user's planning inputs: the no-bounce-back exclusion, and
+        predictions for every visible satellite and the current one."""
+        # The exclusion only guards against an immediate return: it lapses
+        # once the satellite we left has set, or one full horizon after the
+        # handoff. A permanent exclusion would strand the planner on a
+        # dying satellite in two-satellite skies.
+        prev = self.previous_satellite
+        if prev is not None and (
+            state.chunk_index - self._last_handoff_chunk >= self.horizon
+            or prev not in visible
+        ):
+            self.previous_satellite = None
+        chunks = min(self.horizon, self.video.n_chunks - state.chunk_index)
+        t = state.wallclock_s
+        links, scalars = self._predictions(
+            trace, t, sorted(set(visible) | {state.current_satellite}), chunks
+        )
+        return UserPlanView(
+            user_id=user_id,
+            buffer_s=state.buffer_s,
+            last_bitrate_idx=state.last_bitrate_idx,
+            start_t=t,
+            current_satellite=state.current_satellite,
+            previous_satellite=self.previous_satellite,
+            links=links,
+            scalars=scalars,
+            visible=visible,
+            horizon=chunks,
+        )
+
     def decide(self, state: PlayerState, trace: TraceSet) -> Decision:
         t = state.wallclock_s
         cur = state.current_satellite
@@ -504,67 +610,26 @@ class JointMpcController(_PredictingController):
         visible = self._visible(trace, t)
         if not visible:
             return Decision(0, cur, False)
-        # The no-bounce-back exclusion only guards against an immediate
-        # return: it lapses once the satellite we left has set, or one
-        # full horizon after the handoff. A permanent exclusion would
-        # strand the planner on a dying satellite in two-satellite skies.
-        if self.previous_satellite is not None:
-            expired = (
-                self._last_handoff_chunk is not None
-                and state.chunk_index - self._last_handoff_chunk >= self.horizon
-            )
-            if expired or self.previous_satellite not in visible:
-                self.previous_satellite = None
+        view = self.plan_view(state, trace, visible)
+        stay = view.stay_instance(view.links[cur], self.video, self.cfg)
 
-        chunks = min(self.horizon, self.video.n_chunks - state.chunk_index)
-        links, scalars = self._predictions(
-            trace, t, sorted(set(visible) | {cur}), chunks
-        )
-
-        def make_inst(h: int | None, target: int | None) -> PlanInstance:
-            return PlanInstance(
-                horizon=chunks,
-                buffer_s=state.buffer_s,
-                last_bitrate_idx=state.last_bitrate_idx,
-                start_t=t,
-                handoff_chunk=h,
-                current_link=links[cur],
-                target_link=links[target] if target is not None else None,
-                video=self.video,
-                sim=self.cfg,
-            )
-
-        # Tie order: higher QoE, then stay over handoff, later handoff
-        # point, lower satellite id, higher first bitrate.
         options = []
-
-        def add_option(res: PlanResult, sat: int, h: int | None) -> None:
-            stay = 1 if h is None else 0
-            options.append(
-                ((res.best_qoe, stay, h or 0, -sat, res.first_bitrate_idx), res, sat, h)
-            )
-
         try:
-            add_option(self._solve(make_inst(None, None)), cur, None)
+            options.append(PlanOption(cur, None, self._solve(stay)))
         except UnboundedDownloadError:
             pass
-        stats.inner_calls = 1
-
         candidates = select_candidates(
-            self.mode, visible, scalars, cur, self.previous_satellite
+            self.mode, visible, view.scalars, cur, view.previous_satellite
         )
+        stats.inner_calls = 1 + len(candidates) * view.horizon
         for cand in candidates:
-            for h in range(1, chunks + 1):
-                stats.inner_calls += 1
-                try:
-                    res = self._solve(make_inst(h, cand))
-                except UnboundedDownloadError:
-                    continue
-                add_option(res, cand, h)
-                if self.dump_candidates:
-                    self.candidate_rows.append(
-                        (state.chunk_index, cand, h, res.best_qoe)
-                    )
+            found = handoff_options(stay, cand, view.links[cand], self._solve)
+            options += found
+            if self.dump_candidates:
+                self.candidate_rows += [
+                    (state.chunk_index, cand, o.handoff_chunk, o.result.best_qoe)
+                    for o in found
+                ]
 
         if not options:
             # Every plan diverged: limp along on the strongest visible signal.
@@ -575,14 +640,14 @@ class JointMpcController(_PredictingController):
             )
             return Decision(0, fallback, fallback != cur)
 
-        key, res, sat, h = max(options)
+        best = max(options, key=PlanOption.rank)
+        res, sat, h = best.result, best.satellite, best.handoff_chunk
         stats.best_qoe = res.best_qoe
         stats.target_satellite = sat
         stats.handoff_chunk = h
         if h == 1 and sat != cur:
             stats.chose_handoff = True
-            self.previous_satellite = cur
-            self._last_handoff_chunk = state.chunk_index
+            self.record_handoff(state)
             return Decision(res.first_bitrate_idx, sat, True)
         return Decision(res.first_bitrate_idx, cur, False)
 

@@ -147,7 +147,12 @@ class RateSeries:
 
     @classmethod
     def for_satellite(cls, trace: TraceSet, sat_id: int) -> "RateSeries":
-        return cls(0.0, trace.sample_dt, trace.track(sat_id).throughput_mbps)
+        """The satellite's trace throughput from t = 0, built once per trace."""
+        series = trace.rate_series.get(sat_id)
+        if series is None:
+            series = cls(0.0, trace.sample_dt, trace.track(sat_id).throughput_mbps)
+            trace.rate_series[sat_id] = series
+        return series
 
     def rate_and_edge(self, t: float) -> tuple[float, float]:
         """Rate at time t and the end of its constant segment (inf on the last).

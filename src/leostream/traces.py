@@ -139,7 +139,9 @@ class TraceSet:
 
     The set is treated as immutable: construction caches the visibility
     of every track as one (satellites x samples) matrix, in track order,
-    and a satellite id -> track row map.
+    and a satellite id -> track row map. rate_series holds each
+    satellite's throughput as a simcore.RateSeries, built on first use by
+    RateSeries.for_satellite.
     """
 
     sample_dt: float
@@ -147,6 +149,7 @@ class TraceSet:
     meta: dict = field(default_factory=dict)
     visibility: np.ndarray = field(init=False, repr=False)
     _rows: dict = field(init=False, repr=False)
+    rate_series: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         if not self.tracks:

@@ -106,6 +106,19 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("field, value", [
+    ("horizon", 0),
+    ("dp_dt", 0.0),
+    ("dp_dt", -1.0),
+    ("offline_dt", 0.0),
+])
+def test_config_rejects_bad_planner_settings(tmp_path, field, value):
+    with pytest.raises(ConfigError, match=field):
+        config_from_dict(_config_dict(**{field: value}))
+    cfg_path = _write_config(tmp_path, controllers=["centralized"], **{field: value})
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+
+
 def test_gen_traces_cli_deterministic(tmp_path):
     cfg_path = _write_config(tmp_path, repetitions=3)
     out = tmp_path / "t1"

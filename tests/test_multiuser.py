@@ -17,8 +17,8 @@ from leostream.multiuser import (
     simulate_multi,
 )
 from leostream.planners import JointMpcController, PlanningError, SeparateController
-from leostream.simcore import RateSeries, run_session
-from leostream.traces import TraceGenConfig, gen_trace_set
+from leostream.simcore import PlayerState, RateSeries, run_session
+from leostream.traces import TraceGenConfig, gen_trace_set, inject_obstructions
 
 from conftest import make_flat_trace, suite_trace
 
@@ -222,17 +222,88 @@ def test_centralized_splits_crowded_satellite(video, sim_cfg):
     assert result.objective == pytest.approx(sum(result.per_user_qoe.values()))
 
 
-def test_centralized_single_user_matches_joint_controller(video, sim_cfg):
-    trace = suite_trace(5)
+@pytest.mark.parametrize("seed, obstructions", [
+    pytest.param(5, [], id="seed5"),
+    pytest.param(0, [], id="seed0"),
+    pytest.param(3, [], id="seed3"),
+    pytest.param(11, [], id="seed11"),
+    pytest.param(17, [], id="seed17"),
+    # Each window leaves the other satellite visible.
+    pytest.param(5, [(0, 36.0, 44.0), (1, 85.0, 92.0)], id="seed5-obstructed"),
+])
+def test_centralized_single_user_matches_joint_controller(video, sim_cfg, seed, obstructions):
+    trace = inject_obstructions(suite_trace(seed), obstructions)
     coord = CentralizedCoordinator(video, sim_cfg, predictor="robust")
     central = simulate_multi(
-        MultiUserScenario(trace=trace, controllers=[coord]), video, sim_cfg, seed=5
+        MultiUserScenario(trace=trace, controllers=[coord]), video, sim_cfg, seed=seed
     )
     solo = run_session(
         trace, JointMpcController(video, sim_cfg, mode="dual", search="dp"), video, sim_cfg
     )
     assert central.decisions[0] == solo.decisions
     assert central.per_user[0].qoe_total == solo.breakdown.qoe_total
+
+
+def _dual_decider(kind, video, sim_cfg, horizon, solves):
+    """decide(state, trace) -> (decision, inner solves) for a joint:dual
+    controller or a one-user centralized coordinator, whose DP solves are
+    appended to solves. With two satellites, one solve means only the stay
+    plan was scored: no handoff candidate."""
+    if kind == "joint":
+        ctrl = JointMpcController(
+            video, sim_cfg, mode="dual", predictor="oracle", horizon=horizon
+        )
+
+        def decide(state, trace):
+            return ctrl.decide(state, trace), ctrl.last_stats.inner_calls
+
+        return decide
+    coord = CentralizedCoordinator(video, sim_cfg, predictor="oracle", horizon=horizon)
+
+    def decide(state, trace):
+        solves.clear()
+        return coord.decide_multi(0, [state], trace), len(solves)
+
+    return decide
+
+
+@pytest.mark.parametrize("kind", ["joint", "centralized"])
+def test_no_bounce_back_lapses_after_horizon_or_set(kind, video, sim_cfg, monkeypatch):
+    solves = []
+    solve = multiuser.f_sat_dpmpc
+
+    def counting(inst, dt=None):
+        solves.append(inst)
+        return solve(inst, dt)
+
+    monkeypatch.setattr(multiuser, "f_sat_dpmpc", counting)
+    horizon = 5
+    handoff_solves = 1 + horizon  # the stay plan, then h = 1..horizon onto satellite 0
+
+    def state(chunk, t, sat):
+        return PlayerState(chunk, t, 4.0, 0, sat)
+
+    # Satellite 0 is weak, so both planners leave it at chunk 0. It stays
+    # visible in the first trace; in the second it sets over [10, 20) s.
+    always = make_flat_trace([0.5, 8.0])
+    n = 200
+    sets = make_flat_trace(
+        [0.5, 8.0], visible=[[not 10 <= i < 20 for i in range(n)], [True] * n]
+    )
+    for trace, steps in [
+        # Excluded until `horizon` chunks have passed since the handoff.
+        (always, [(1, 4.0, 1), (4, 10.0, 1), (5, 12.0, handoff_solves)]),
+        # Setting lifts the exclusion early: back in view at chunk 3 < horizon.
+        (sets, [(1, 4.0, 1), (2, 12.0, 1), (3, 22.0, handoff_solves)]),
+    ]:
+        decide = _dual_decider(kind, video, sim_cfg, horizon, solves)
+        decision, n_solves = decide(state(0, 0.0, 0), trace)
+        assert (decision.handoff_now, decision.target_satellite) == (True, 1)
+        assert n_solves == handoff_solves
+        for chunk, t, expected in steps:
+            decision, n_solves = decide(state(chunk, t, 1), trace)
+            assert not decision.handoff_now
+            assert n_solves == expected, (chunk, t)
 
 
 def test_centralized_user_cap(video, sim_cfg):
