@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import time as _time
@@ -93,8 +94,10 @@ class ExperimentConfig:
             raise ConfigError("predictor must be robust or oracle")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
-        if any(u < 1 for u in self.user_counts):
-            raise ConfigError("user counts must be >= 1")
+        if not self.user_counts or any(u < 1 for u in self.user_counts):
+            raise ConfigError("user_counts must list at least one count, each >= 1")
+        if self.seed_base < 0:
+            raise ConfigError("seed_base must be >= 0")
         if self.background_users < 0:
             raise ConfigError("background_users must be >= 0")
         if self.jobs < 1:
@@ -208,18 +211,19 @@ def build_controller(
     raise ConfigError(f"cannot build controller {name!r}")
 
 
-def _trace_for_rep(exp: ExperimentConfig, rep: int) -> tuple[str, int, TraceSet]:
+def _trace_for_rep(exp: ExperimentConfig, rep: int) -> tuple[str, int, functools.partial]:
+    """Trace id, seed, and the call that makes the trace: the id needs no
+    trace, so a cell whose trace fails to load still has its key."""
     seed = exp.seed_base + rep
     if exp.trace_generate is not None:
         cfg = dataclasses.replace(exp.trace_generate, seed=seed)
-        return f"gen{seed}", seed, gen_trace_set(cfg)
-    paths = sorted(Path(exp.trace_load).glob("*.csv")) if Path(
-        exp.trace_load
-    ).is_dir() else [Path(exp.trace_load)]
-    if not paths:
-        raise ConfigError(f"no trace CSVs under {exp.trace_load}")
+        return f"gen{seed}", seed, functools.partial(gen_trace_set, cfg)
+    load = Path(exp.trace_load)
+    paths = sorted(load.glob("*.csv")) if load.is_dir() else [load]
+    if not paths or not paths[0].is_file():
+        raise ConfigError(f"no trace CSVs at {exp.trace_load}")
     path = paths[rep % len(paths)]
-    return path.stem, seed, read_trace(path)
+    return path.stem, seed, functools.partial(read_trace, path)
 
 
 def _breakdown_means(breakdowns: list[QoEBreakdown]) -> tuple[float, ...]:
@@ -304,9 +308,10 @@ def run_cell(
 
 def _run_cell_task(args):
     exp, rep, controller_name, n_users = args
-    trace_id, seed, trace = _trace_for_rep(exp, rep)
+    trace_id, seed, make_trace = _trace_for_rep(exp, rep)
     key = (controller_name, exp.predictor, n_users, trace_id, seed)
     try:
+        trace = make_trace()
         row, candidates = run_cell(exp, trace, trace_id, seed, controller_name, n_users)
         return key, row, candidates, None
     except Exception as exc:

@@ -55,47 +55,37 @@ class MultiUserError(RuntimeError):
 @dataclass(frozen=True)
 class BackgroundProfile:
     """Piecewise-constant fraction of each satellite's capacity consumed by
-    non-video users."""
+    non-video users, one value per BACKGROUND_WINDOW_S window."""
 
-    window_s: float
     fractions: dict[int, np.ndarray]
 
     def fraction(self, sat_id: int, t: float) -> float:
         values = self.fractions[sat_id]
         if t < 0:
             raise MultiUserError(f"t={t} before profile start")
-        idx = min(int(t / self.window_s), len(values) - 1)
+        idx = min(int(t / BACKGROUND_WINDOW_S), len(values) - 1)
         return float(values[idx])
 
     def next_edge(self, t: float) -> float:
         any_values = next(iter(self.fractions.values()))
-        idx = int(t / self.window_s)
+        idx = int(t / BACKGROUND_WINDOW_S)
         if idx >= len(any_values) - 1:
             return math.inf
-        return (idx + 1) * self.window_s
+        return (idx + 1) * BACKGROUND_WINDOW_S
 
 
-def make_background_profile(
-    trace: TraceSet,
-    n_background: int,
-    seed: int,
-    window_s: float = BACKGROUND_WINDOW_S,
-    demand_low: float = BACKGROUND_DEMAND_LOW,
-    demand_high: float = BACKGROUND_DEMAND_HIGH,
-    cap: float = BACKGROUND_CAP,
-) -> BackgroundProfile:
+def make_background_profile(trace: TraceSet, n_background: int, seed: int) -> BackgroundProfile:
     """Per-satellite background demand: one uniform draw per user per window,
     summed and capped."""
     rng = np.random.default_rng(seed)
-    n_windows = max(1, int(np.ceil(trace.duration_s / window_s)))
+    n_windows = max(1, int(np.ceil(trace.duration_s / BACKGROUND_WINDOW_S)))
     fractions = {}
     for sat_id in trace.sat_ids:
-        if n_background == 0:
-            fractions[sat_id] = np.zeros(n_windows)
-        else:
-            draws = rng.uniform(demand_low, demand_high, size=(n_windows, n_background))
-            fractions[sat_id] = np.minimum(draws.sum(axis=1), cap)
-    return BackgroundProfile(window_s=window_s, fractions=fractions)
+        draws = rng.uniform(
+            BACKGROUND_DEMAND_LOW, BACKGROUND_DEMAND_HIGH, size=(n_windows, n_background)
+        )
+        fractions[sat_id] = np.minimum(draws.sum(axis=1), BACKGROUND_CAP)
+    return BackgroundProfile(fractions=fractions)
 
 
 def background_capacity_fraction(
@@ -136,7 +126,6 @@ class MultiUserScenario:
     trace: TraceSet
     controllers: list
     n_background: int = 0
-    background_profile: BackgroundProfile | None = None
 
     @property
     def n_users(self) -> int:
@@ -213,8 +202,8 @@ def simulate_multi(
     trace = scenario.trace
     if scenario.n_users < 1:
         raise MultiUserError("need at least one video user")
-    profile = scenario.background_profile
-    if profile is None and scenario.n_background > 0:
+    profile = None
+    if scenario.n_background > 0:
         profile = make_background_profile(trace, scenario.n_background, seed)
 
     series = {tr.sat_id: RateSeries.for_satellite(trace, tr.sat_id) for tr in trace.tracks}
@@ -456,7 +445,7 @@ def _best_option(
     scale_target: float,
     video: VideoSpec,
     cfg: SimConfig,
-    dp_dt: float,
+    dp_dt: float | None,
 ) -> PlanOption:
     """Best option for one user given a target satellite assignment."""
 
@@ -481,7 +470,6 @@ def centralized_mpc_decide(
     video: VideoSpec,
     cfg: SimConfig,
     dp_dt: float | None = None,
-    max_users: int = CENTRALIZED_USER_CAP,
 ) -> CentralizedDecision:
     """Joint assignment search maximizing the sum of horizon QoEs.
 
@@ -489,11 +477,10 @@ def centralized_mpc_decide(
     best-predicted runner-up; predicted throughput on a satellite is
     split equally among the users assigned to it within the horizon.
     """
-    if len(views) > max_users:
+    if len(views) > CENTRALIZED_USER_CAP:
         raise PlanningError(
-            f"centralized search capped at {max_users} users, got {len(views)}"
+            f"centralized search capped at {CENTRALIZED_USER_CAP} users, got {len(views)}"
         )
-    dp_dt = cfg.dt_s if dp_dt is None else dp_dt
 
     candidate_lists = []
     for view in views:
@@ -504,10 +491,7 @@ def centralized_mpc_decide(
             view.current_satellite,
             view.previous_satellite,
         )
-        candidates = [view.current_satellite] + [
-            s for s in runner if s in view.links
-        ]
-        candidate_lists.append(candidates)
+        candidate_lists.append([view.current_satellite] + runner)
 
     # Everyone rides their current satellite until their handoff point,
     # so pre-handoff shares are counted by current satellite while
@@ -529,8 +513,8 @@ def centralized_mpc_decide(
         options = []
         feasible = True
         for view, target in zip(views, assignment):
-            scale_cur = 1.0 / max(1, current_counts.get(view.current_satellite, 0))
-            scale_target = 1.0 / max(1, target_counts.get(target, 0))
+            scale_cur = 1.0 / current_counts[view.current_satellite]
+            scale_target = 1.0 / target_counts[target]
             try:
                 option = _best_option(
                     view, target, scale_cur, scale_target, video, cfg, dp_dt
@@ -581,13 +565,11 @@ class CentralizedCoordinator:
         predictor: str = "robust",
         horizon: int = 5,
         dp_dt: float | None = None,
-        max_users: int = CENTRALIZED_USER_CAP,
     ):
         self.video = video
         self.cfg = cfg
         self.horizon = horizon
-        self.dp_dt = cfg.dt_s if dp_dt is None else dp_dt
-        self.max_users = max_users
+        self.dp_dt = dp_dt
         self.predictor = predictor
         self._users: dict[int, JointMpcController] = {}
 
@@ -595,7 +577,7 @@ class CentralizedCoordinator:
         if uid not in self._users:
             self._users[uid] = JointMpcController(
                 self.video, self.cfg, mode="dual", predictor=self.predictor,
-                search="dp", horizon=self.horizon, dp_dt=self.dp_dt,
+                horizon=self.horizon, dp_dt=self.dp_dt,
             )
         return self._users[uid]
 
@@ -620,9 +602,7 @@ class CentralizedCoordinator:
         ]
         if not views:
             raise PlanningError("no active users to plan for")
-        result = centralized_mpc_decide(
-            views, self.video, self.cfg, self.dp_dt, self.max_users
-        )
+        result = centralized_mpc_decide(views, self.video, self.cfg, self.dp_dt)
         decision = result.decisions[uid]
         if decision.handoff_now:
             self._user(uid).record_handoff(states[uid])

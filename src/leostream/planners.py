@@ -3,10 +3,10 @@
 The joint planners use receding-horizon search: at each chunk boundary
 they score every bitrate plan over the next F chunks both with and
 without a single satellite handoff at some point h in [1, F], then
-execute only the first action of the winner. Two interchangeable inner
-searches are provided: exhaustive enumeration of all |R|^F plans, and a
+execute only the first action of the winner. The inner search is a
 dynamic program over discretized (time, buffer, bitrate) states that
-merges plans whose states collide on the grid.
+merges plans whose states collide on the grid; exhaustive enumeration of
+all |R|^F plans is its reference and the separate baselines' planner.
 
 Separate-selection baselines (max visible time, max signal, max
 bandwidth paired with a bitrate-only planner) and an offline optimal
@@ -231,7 +231,7 @@ def f_sat_dpmpc(inst: PlanInstance, dt: float | None = None) -> PlanResult:
     key keeps the best accumulated QoE together with its exact time and
     buffer, so the returned QoE is the true value of a real plan and
     matches the exhaustive search whenever no two plans collide on the
-    grid. handoff_chunk may be None for the stay branch.
+    grid. dt defaults to sim.dt_s; handoff_chunk None is the stay branch.
     """
     dt = inst.sim.dt_s if dt is None else dt
     if dt <= 0:
@@ -526,10 +526,10 @@ class _PredictingController:
 class JointMpcController(_PredictingController):
     """Receding-horizon joint bitrate and handoff planner.
 
-    mode selects the candidate rule (dual or manifold); search picks the
-    inner solver (dp or exhaustive). Only the first action of the winning
-    horizon plan is executed; a handoff happens only when the winner
-    switches before the immediate chunk.
+    mode selects the candidate rule (dual or manifold); every option is
+    solved by the grid DP. Only the first action of the winning horizon
+    plan is executed; a handoff happens only when the winner switches
+    before the immediate chunk.
     """
 
     def __init__(
@@ -538,7 +538,6 @@ class JointMpcController(_PredictingController):
         cfg: SimConfig,
         mode: str = "dual",
         predictor: str = "robust",
-        search: str = "dp",
         horizon: int = 5,
         dp_dt: float | None = None,
         dump_candidates: bool = False,
@@ -546,11 +545,8 @@ class JointMpcController(_PredictingController):
         super().__init__(video, cfg, predictor, horizon)
         if mode not in ("dual", "manifold"):
             raise PlanningError(f"unknown mode {mode!r}")
-        if search not in ("dp", "exhaustive"):
-            raise PlanningError(f"unknown search {search!r}")
         self.mode = mode
-        self.search = search
-        self.dp_dt = cfg.dt_s if dp_dt is None else dp_dt
+        self.dp_dt = dp_dt
         self.previous_satellite: int | None = None
         self._last_handoff_chunk: int | None = None
         self.dump_candidates = dump_candidates
@@ -558,11 +554,7 @@ class JointMpcController(_PredictingController):
         self.last_stats = DecisionStats()
 
     def _solve(self, inst: PlanInstance) -> PlanResult:
-        if self.search == "dp":
-            return f_sat_dpmpc(inst, self.dp_dt)
-        if inst.handoff_chunk is None:
-            return f_mpc(inst)
-        return f_sat_mpc(inst)
+        return f_sat_dpmpc(inst, self.dp_dt)
 
     def record_handoff(self, state: PlayerState) -> None:
         """Note a handoff away from state's satellite, decided at its chunk."""

@@ -21,12 +21,10 @@ MIN_OBSERVED_MBPS = 0.01
 
 
 class ThroughputHistory:
-    """Ring buffer of (timestamp_s, observed_mbps) pairs."""
+    """Ring buffer of the last HISTORY_WINDOW (timestamp_s, observed_mbps) pairs."""
 
-    def __init__(self, window: int = HISTORY_WINDOW):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self._items: deque[tuple[float, float]] = deque(maxlen=window)
+    def __init__(self):
+        self._items: deque[tuple[float, float]] = deque(maxlen=HISTORY_WINDOW)
 
     def append(self, observed_mbps: float, timestamp_s: float | None = None) -> None:
         if observed_mbps < 0:
@@ -45,12 +43,10 @@ class ThroughputHistory:
 
 
 class ErrorTracker:
-    """Sliding window of relative prediction errors, oldest evicted first."""
+    """The last ERROR_WINDOW relative prediction errors, oldest evicted first."""
 
-    def __init__(self, window: int = ERROR_WINDOW):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self._errors: deque[float] = deque(maxlen=window)
+    def __init__(self):
+        self._errors: deque[float] = deque(maxlen=ERROR_WINDOW)
 
     def record(self, error: float) -> None:
         if error < 0:
@@ -95,19 +91,6 @@ def observe(
     errors.record(abs(predicted_mbps - actual_mbps) / actual_mbps)
 
 
-def oracle_predict(trace: TraceSet, sat_id: int, t: float, horizon_s: float) -> np.ndarray:
-    """True per-sample throughput of sat_id over [t, t + horizon_s)."""
-    if horizon_s <= 0:
-        raise ValueError("horizon_s must be > 0")
-    i0 = trace.sample_index(t)
-    i1 = int(np.ceil((t + horizon_s) / trace.sample_dt))
-    if i1 > trace.n_samples:
-        raise ValueError(
-            f"horizon [{t}, {t + horizon_s}) extends past the trace end"
-        )
-    return trace.track(sat_id).throughput_mbps[i0:i1]
-
-
 class PredictorBank:
     """Per-satellite robust estimator state for one session.
 
@@ -116,17 +99,15 @@ class PredictorBank:
     trace sample at the decision epoch. Nothing resets on handoff.
     """
 
-    def __init__(self, history_window: int = HISTORY_WINDOW, error_window: int = ERROR_WINDOW):
-        self.history_window = history_window
-        self.error_window = error_window
+    def __init__(self):
         self._history: dict[int, ThroughputHistory] = {}
         self._errors: dict[int, ErrorTracker] = {}
         self._last_prediction: dict[int, float] = {}
 
     def _slot(self, sat_id: int) -> tuple[ThroughputHistory, ErrorTracker]:
         if sat_id not in self._history:
-            self._history[sat_id] = ThroughputHistory(self.history_window)
-            self._errors[sat_id] = ErrorTracker(self.error_window)
+            self._history[sat_id] = ThroughputHistory()
+            self._errors[sat_id] = ErrorTracker()
         return self._history[sat_id], self._errors[sat_id]
 
     def record(self, sat_id: int, actual_mbps: float, timestamp_s: float) -> None:

@@ -317,19 +317,15 @@ def settle_chunk(
     return rebuffer, buf, drain
 
 
-def quality(bitrate_mbps: float) -> float:
-    """Linear quality mapping: the bitrate itself, in Mbps."""
-    return bitrate_mbps
-
-
 def chunk_qoe(
     prev_bitrate_mbps: float, bitrate_mbps: float, rebuffer_s: float, cfg: SimConfig
 ) -> float:
-    """Per-chunk score: weighted quality minus rebuffer and switch penalties."""
+    """Per-chunk score: weighted quality (the bitrate itself, in Mbps)
+    minus rebuffer and switch penalties."""
     return (
-        cfg.mu1 * quality(bitrate_mbps)
+        cfg.mu1 * bitrate_mbps
         - cfg.mu2 * rebuffer_s
-        - cfg.mu3 * abs(quality(bitrate_mbps) - quality(prev_bitrate_mbps))
+        - cfg.mu3 * abs(bitrate_mbps - prev_bitrate_mbps)
     )
 
 
@@ -370,9 +366,7 @@ def apply_chunk(
 
     bitrate = video.bitrate_ladder_mbps[decision.bitrate_idx]
     prev_bitrate = video.bitrate_ladder_mbps[state.last_bitrate_idx]
-    smooth = 0.0 if state.chunk_index == 0 else abs(
-        quality(bitrate) - quality(prev_bitrate)
-    )
+    smooth = 0.0 if state.chunk_index == 0 else abs(bitrate - prev_bitrate)
     outcome = ChunkOutcome(
         chunk_index=state.chunk_index,
         bitrate_mbps=bitrate,
@@ -381,7 +375,7 @@ def apply_chunk(
         rebuffer_s=rebuffer,
         handoff_performed=handoff,
         drain_s=drain,
-        qoe_quality=cfg.mu1 * quality(bitrate),
+        qoe_quality=cfg.mu1 * bitrate,
         qoe_rebuf_penalty=cfg.mu2 * rebuffer,
         qoe_smooth_penalty=cfg.mu3 * smooth,
     )
@@ -578,7 +572,6 @@ __all__ = [
     "piecewise_downloads",
     "piecewise_downloads_many",
     "settle_chunk",
-    "quality",
     "chunk_qoe",
     "download_time",
     "validate_decision",

@@ -51,7 +51,7 @@ ONLINE_CONTROLLERS = (
 def _controller(name, video, cfg, predictor):
     kind, _, variant = name.partition(":")
     if kind == "joint":
-        return JointMpcController(video, cfg, mode=variant, predictor=predictor, search="dp")
+        return JointMpcController(video, cfg, mode=variant, predictor=predictor)
     return SeparateController(video, cfg, strategy=variant, predictor=predictor)
 
 
@@ -276,7 +276,7 @@ def test_criterion_09_decision_latency(video6, sim_cfg):
     for seed in range(3):
         trace = suite_trace(seed)
         ctrl = JointMpcController(
-            video6, sim_cfg, mode="dual", predictor="robust", search="dp", dp_dt=1.0
+            video6, sim_cfg, mode="dual", predictor="robust", dp_dt=1.0
         )
         result = run_session(trace, ctrl, video6, sim_cfg)
         latencies.extend(result.decision_latencies_s)
@@ -315,7 +315,7 @@ def test_criterion_11_obstruction_handling(video):
         make_flat_trace([10.0, 10.0], duration_s=200.0), [(0, 14.0, 39.0)]
     )
     joint = run_session(
-        trace, JointMpcController(video, cfg, mode="dual", predictor="robust", search="dp"),
+        trace, JointMpcController(video, cfg, mode="dual", predictor="robust"),
         video, cfg,
     )
     mb = run_session(

@@ -111,6 +111,8 @@ def test_cli_config_error_exit_code(tmp_path):
     ("dp_dt", 0.0),
     ("dp_dt", -1.0),
     ("offline_dt", 0.0),
+    ("user_counts", []),
+    ("seed_base", -3),
 ])
 def test_config_rejects_bad_planner_settings(tmp_path, field, value):
     with pytest.raises(ConfigError, match=field):
@@ -145,6 +147,35 @@ def test_run_from_loaded_traces(tmp_path):
     assert main(["run", "--config", str(cfg2), "--out", str(out)]) == 0
     rows = read_result_rows(out / "results.csv")
     assert {r.trace_id for r in rows} == {"trace_rep000", "trace_rep001"}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_bad_trace_file_fails_only_its_cells(tmp_path, jobs):
+    cfg_path = _write_config(tmp_path, repetitions=1)
+    traces_dir = tmp_path / "gen" / "traces"
+    assert main(["gen-traces", "--config", str(cfg_path), "--out", str(tmp_path / "gen")]) == 0
+    good = traces_dir / "trace_rep000.csv"
+    lines = good.read_text().splitlines()
+    fields = lines[1].split(",")
+    fields[lines[0].split(",").index("throughput_mbps")] = "abc"
+    lines[1] = ",".join(fields)
+    (traces_dir / "zz_bad.csv").write_text("\n".join(lines) + "\n")
+    (traces_dir / "zz_bad.meta.json").write_bytes(good.with_suffix(".meta.json").read_bytes())
+    loaded = _config_dict(repetitions=2, jobs=jobs)
+    loaded["trace"] = {"load": str(traces_dir)}
+    cfg2 = tmp_path / "exp2.json"
+    cfg2.write_text(json.dumps(loaded))
+    out = tmp_path / "runload"
+    assert main(["run", "--config", str(cfg2), "--out", str(out)]) == 2
+    rows = read_result_rows(out / "results.csv")
+    assert {(r.controller, r.trace_id) for r in rows} == {
+        ("separate:mb", "trace_rep000"), ("joint:dual", "trace_rep000"),
+    }
+    failures = json.loads((out / "results.json").read_text())["failures"]
+    assert sorted(failures) == [
+        "joint:dual / robust / 1 / zz_bad / 6", "separate:mb / robust / 1 / zz_bad / 6",
+    ]
+    assert all(err.startswith("TraceFormatError") for err in failures.values())
 
 
 def _rows_for_compare():

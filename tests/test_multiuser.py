@@ -57,7 +57,7 @@ def test_background_profile_zero_users():
 
 def test_background_profile_cap_binds():
     trace = make_flat_trace([10.0], duration_s=100.0)
-    profile = make_background_profile(trace, 40, seed=2, demand_low=0.02, demand_high=0.08)
+    profile = make_background_profile(trace, 40, seed=2)
     for sat in trace.sat_ids:
         assert np.all(profile.fractions[sat] <= 0.8)
     assert any(np.any(profile.fractions[s] == 0.8) for s in trace.sat_ids)
@@ -74,11 +74,11 @@ def test_background_profile_deterministic():
 def test_single_user_degeneracy_bit_for_bit(video, sim_cfg):
     trace = suite_trace(3)
     single = run_session(
-        trace, JointMpcController(video, sim_cfg, mode="dual", search="dp"), video, sim_cfg
+        trace, JointMpcController(video, sim_cfg, mode="dual"), video, sim_cfg
     )
     scenario = MultiUserScenario(
         trace=trace,
-        controllers=[JointMpcController(video, sim_cfg, mode="dual", search="dp")],
+        controllers=[JointMpcController(video, sim_cfg, mode="dual")],
         n_background=0,
     )
     multi = simulate_multi(scenario, video, sim_cfg, seed=0)
@@ -106,7 +106,7 @@ def test_capacity_and_work_conservation(video, sim_cfg):
     trace = suite_trace(4)
     scenario = MultiUserScenario(
         trace=trace,
-        controllers=[JointMpcController(video, sim_cfg, mode="dual", search="dp") for _ in range(3)],
+        controllers=[JointMpcController(video, sim_cfg, mode="dual") for _ in range(3)],
         n_background=5,
     )
     result = simulate_multi(scenario, video, sim_cfg, seed=4)
@@ -238,7 +238,7 @@ def test_centralized_single_user_matches_joint_controller(video, sim_cfg, seed, 
         MultiUserScenario(trace=trace, controllers=[coord]), video, sim_cfg, seed=seed
     )
     solo = run_session(
-        trace, JointMpcController(video, sim_cfg, mode="dual", search="dp"), video, sim_cfg
+        trace, JointMpcController(video, sim_cfg, mode="dual"), video, sim_cfg
     )
     assert central.decisions[0] == solo.decisions
     assert central.per_user[0].qoe_total == solo.breakdown.qoe_total
@@ -310,7 +310,7 @@ def test_centralized_user_cap(video, sim_cfg):
     links = {0: 4.0}
     views = [_view(i, links, dict(links), cur=0, video=video) for i in range(4)]
     with pytest.raises(PlanningError):
-        centralized_mpc_decide(views, video, sim_cfg, max_users=3)
+        centralized_mpc_decide(views, video, sim_cfg)
 
 
 def test_centralized_dominates_independent_two_user_oracle(video, sim_cfg):
@@ -322,7 +322,7 @@ def test_centralized_dominates_independent_two_user_oracle(video, sim_cfg):
             video, sim_cfg, seed=seed,
         )
         independents = [
-            JointMpcController(video, sim_cfg, mode="dual", predictor="oracle", search="dp")
+            JointMpcController(video, sim_cfg, mode="dual", predictor="oracle")
             for _ in range(2)
         ]
         independent = simulate_multi(

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from leostream import planners
 from leostream.planners import (
     JointMpcController,
     PlanInstance,
@@ -436,14 +437,14 @@ def test_select_candidates_manifold():
 
 def test_joint_controller_stays_on_equal_flats(video, sim_cfg):
     trace = make_flat_trace([10.0, 10.0], duration_s=200.0)
-    ctrl = JointMpcController(video, sim_cfg, mode="dual", search="dp")
+    ctrl = JointMpcController(video, sim_cfg, mode="dual")
     result = run_session(trace, ctrl, video, sim_cfg)
     assert result.handoff_count == 0
 
 
 def test_joint_controller_inner_call_count(video, sim_cfg):
     trace = make_flat_trace([10.0, 8.0, 6.0], duration_s=200.0)
-    ctrl = JointMpcController(video, sim_cfg, mode="manifold", search="dp")
+    ctrl = JointMpcController(video, sim_cfg, mode="manifold")
     state = initial_state(trace, video, sim_cfg)
     ctrl.observe_start(trace, state)
     ctrl.decide(state, trace)
@@ -457,7 +458,7 @@ def test_joint_controller_handoff_out_of_obstruction(video, sim_cfg):
     trace = inject_obstructions(
         make_flat_trace([10.0, 10.0], duration_s=200.0), [(0, 14.0, 39.0)]
     )
-    ctrl = JointMpcController(video, cfg, mode="dual", search="dp")
+    ctrl = JointMpcController(video, cfg, mode="dual")
     result = run_session(trace, ctrl, video, cfg)
     handoffs = [oc.chunk_index for oc in result.breakdown.per_chunk if oc.handoff_performed]
     assert handoffs and result.breakdown.per_chunk[handoffs[0]].satellite_id == 1
@@ -467,7 +468,7 @@ def test_joint_controller_degraded_mode_no_visible(video, sim_cfg):
     vis = np.zeros(60, dtype=bool)
     vis[:20] = True
     trace = make_flat_trace([10.0], duration_s=60.0, visible=[vis])
-    ctrl = JointMpcController(video, sim_cfg, mode="dual", search="dp")
+    ctrl = JointMpcController(video, sim_cfg, mode="dual")
     state = PlayerState(chunk_index=5, wallclock_s=30.0, buffer_s=4.0,
                         last_bitrate_idx=1, current_satellite=0)
     decision = ctrl.decide(state, trace)
@@ -478,18 +479,28 @@ def test_joint_decide_deterministic(video, sim_cfg):
     trace = suite_trace(0)
     decisions = []
     for _ in range(2):
-        ctrl = JointMpcController(video, sim_cfg, mode="dual", search="dp")
+        ctrl = JointMpcController(video, sim_cfg, mode="dual")
         result = run_session(trace, ctrl, video, sim_cfg)
         decisions.append(result.decisions)
     assert decisions[0] == decisions[1]
 
 
-def test_dp_and_exhaustive_controllers_agree_closely(video, sim_cfg):
+def test_dp_and_exhaustive_controllers_agree_closely(video, sim_cfg, monkeypatch):
     trace = suite_trace(1)
-    dp_ctrl = JointMpcController(video, sim_cfg, mode="dual", search="dp", dp_dt=0.05)
-    ex_ctrl = JointMpcController(video, sim_cfg, mode="dual", search="exhaustive")
+    dp_ctrl = JointMpcController(video, sim_cfg, mode="dual", dp_dt=0.05)
     dp_res = run_session(trace, dp_ctrl, video, sim_cfg)
+
+    # The controller's inner search, swapped for exhaustive enumeration.
+    solves = []
+
+    def exhaustive(inst, dt=None):
+        solves.append(inst.handoff_chunk)
+        return f_mpc(inst) if inst.handoff_chunk is None else f_sat_mpc(inst)
+
+    monkeypatch.setattr(planners, "f_sat_dpmpc", exhaustive)
+    ex_ctrl = JointMpcController(video, sim_cfg, mode="dual")
     ex_res = run_session(trace, ex_ctrl, video, sim_cfg)
+    assert None in solves and any(h is not None for h in solves)
     assert dp_res.breakdown.qoe_total == pytest.approx(ex_res.breakdown.qoe_total, abs=1e-6)
 
 

@@ -3,13 +3,14 @@ import pytest
 
 from leostream.predictors import (
     ErrorTracker,
+    OracleProvider,
     PredictorBank,
     ThroughputHistory,
     harmonic_mean,
     observe,
-    oracle_predict,
     robust_predict,
 )
+from leostream.traces import SatelliteTrack, TraceSet
 
 from conftest import make_flat_trace
 
@@ -117,23 +118,48 @@ def test_scale_equivariance():
         )
 
 
-def test_oracle_predict_flat():
+def test_oracle_link_flat():
     trace = make_flat_trace([10.0], duration_s=60.0)
-    out = oracle_predict(trace, 0, 5.0, 10.0)
-    assert np.all(out == 10.0)
+    link = OracleProvider(trace).link(0, 5.0, 10.0)
+    assert np.all(link.rates == 10.0)
 
 
-def test_oracle_predict_exact_slice():
-    trace = make_flat_trace([10.0], duration_s=60.0)
-    arr = trace.tracks[0].throughput_mbps
-    out = oracle_predict(trace, 0, 5.0, 10.0)
-    assert np.array_equal(out, arr[5:15])
+def test_oracle_link_exact_slice():
+    trace = make_flat_trace([10.0, 4.0], duration_s=60.0)
+    arr = trace.tracks[1].throughput_mbps
+    link = OracleProvider(trace).link(1, 5.0, 10.0)
+    assert (link.anchor_t, link.sample_dt) == (5.0, trace.sample_dt)
+    assert np.array_equal(link.rates, arr[5:15])
 
 
-def test_oracle_predict_out_of_range():
-    trace = make_flat_trace([10.0], duration_s=60.0)
-    with pytest.raises(ValueError):
-        oracle_predict(trace, 0, 55.0, 10.0)
+def _ramp_trace(n=60):
+    """One always-visible satellite whose sample i carries i + 1 Mbps."""
+    track = SatelliteTrack(
+        sat_id=0,
+        passes=(),
+        throughput_mbps=np.arange(1.0, n + 1.0),
+        elevation_deg=np.full(n, 90.0),
+        visible=np.ones(n, dtype=bool),
+    )
+    return TraceSet(sample_dt=1.0, tracks=(track,), meta={})
+
+
+def test_oracle_link_clamps_at_trace_end():
+    # A window past the trace end keeps the samples that exist; one that
+    # starts past it keeps the last sample.
+    trace = _ramp_trace()
+    rates = trace.tracks[0].throughput_mbps
+    oracle = OracleProvider(trace)
+    tail = oracle.link(0, 55.0, 10.0)
+    assert tail.anchor_t == 55.0 and np.array_equal(tail.rates, rates[55:])
+    past = oracle.link(0, 70.0, 10.0)
+    assert past.anchor_t == 59.0 and np.array_equal(past.rates, rates[59:])
+
+
+def test_oracle_scalar_is_window_mean():
+    oracle = OracleProvider(_ramp_trace())
+    assert oracle.scalar(0, 10.0, 4.0) == np.mean([11.0, 12.0, 13.0, 14.0])
+    assert oracle.scalar(0, 10.0, 4.0) == float(np.mean(oracle.link(0, 10.0, 4.0).rates))
 
 
 def test_bank_rising_satellite_ignores_floor_poisoning():

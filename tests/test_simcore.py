@@ -20,7 +20,6 @@ from leostream.simcore import (
     piecewise_downloads,
     piecewise_downloads_many,
     qos,
-    quality,
     session_json,
     session_qoe,
     settle_chunk,
@@ -28,14 +27,6 @@ from leostream.simcore import (
 )
 
 from conftest import make_flat_trace
-
-
-def test_quality_is_linear():
-    assert quality(2.85) == 2.85
-    assert quality(0.3) == 0.3
-    ladder = VideoSpec().bitrate_ladder_mbps
-    values = [quality(b) for b in ladder]
-    assert values == sorted(values) and len(set(values)) == len(values)
 
 
 def test_chunk_qoe_examples(sim_cfg):
