@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
@@ -75,8 +76,6 @@ class ExperimentConfig:
     seed_base: int = 0
     out_dir: str = "results"
     horizon: int = 5
-    dp_dt: float | None = None
-    offline_dt: float | None = None
     jobs: int = 1
     dump_candidates: bool = False
 
@@ -104,10 +103,6 @@ class ExperimentConfig:
             raise ConfigError("jobs must be >= 1")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
-        for name in ("dp_dt", "offline_dt"):
-            value = getattr(self, name)
-            if value is not None and not value > 0:
-                raise ConfigError(f"{name} must be > 0")
 
 
 def _parse_ladder(value) -> tuple[float, ...]:
@@ -118,10 +113,29 @@ def _parse_ladder(value) -> tuple[float, ...]:
     return tuple(float(v) for v in value)
 
 
+# Keys a config file may hold: one per ExperimentConfig field, with the
+# trace source in a trace block. The video, sim and generate blocks are
+# checked by their dataclasses.
+TRACE_KEYS = ("generate", "load")
+CONFIG_KEYS = ("trace",) + tuple(
+    f.name for f in dataclasses.fields(ExperimentConfig) if not f.name.startswith("trace_")
+)
+
+
+def _reject_unknown(block, known: tuple[str, ...], where: str) -> None:
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"unknown {where} key {key!r}; choose from {known}")
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON config file."""
+    _reject_unknown(data, CONFIG_KEYS, "config")
+    trace = data.get("trace", {})
+    _reject_unknown(trace, TRACE_KEYS, "trace")
     try:
-        trace = data.get("trace", {})
         gen_cfg = None
         load = None
         if "generate" in trace:
@@ -146,8 +160,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             seed_base=int(data.get("seed_base", 0)),
             out_dir=data.get("out_dir", "results"),
             horizon=int(data.get("horizon", 5)),
-            dp_dt=data.get("dp_dt"),
-            offline_dt=data.get("offline_dt"),
             jobs=int(data.get("jobs", 1)),
             dump_candidates=bool(data.get("dump_candidates", False)),
         )
@@ -190,7 +202,6 @@ def build_controller(
     sim: SimConfig,
     predictor: str,
     horizon: int,
-    dp_dt: float | None,
     dump_candidates: bool = False,
 ):
     kind, _, variant = name.partition(":")
@@ -205,25 +216,37 @@ def build_controller(
             mode=variant,
             predictor=predictor,
             horizon=horizon,
-            dp_dt=dp_dt,
             dump_candidates=dump_candidates,
         )
     raise ConfigError(f"cannot build controller {name!r}")
 
 
-def _trace_for_rep(exp: ExperimentConfig, rep: int) -> tuple[str, int, functools.partial]:
-    """Trace id, seed, and the call that makes the trace: the id needs no
-    trace, so a cell whose trace fails to load still has its key."""
-    seed = exp.seed_base + rep
+def _trace_sources(exp: ExperimentConfig) -> list[tuple[str, int, functools.partial]]:
+    """Per repetition: trace id, seed, and the call that makes the trace.
+    The id needs no trace, so a cell whose trace fails to load still has
+    its key.
+
+    Loaded files are cycled over the repetitions. The seed draws only the
+    background load, so without background users a reused file would
+    repeat a cell under another seed label; that is a config error.
+    """
+    seeds = range(exp.seed_base, exp.seed_base + exp.repetitions)
     if exp.trace_generate is not None:
-        cfg = dataclasses.replace(exp.trace_generate, seed=seed)
-        return f"gen{seed}", seed, functools.partial(gen_trace_set, cfg)
+        configs = [dataclasses.replace(exp.trace_generate, seed=seed) for seed in seeds]
+        return [(f"gen{c.seed}", c.seed, functools.partial(gen_trace_set, c)) for c in configs]
     load = Path(exp.trace_load)
     paths = sorted(load.glob("*.csv")) if load.is_dir() else [load]
     if not paths or not paths[0].is_file():
         raise ConfigError(f"no trace CSVs at {exp.trace_load}")
-    path = paths[rep % len(paths)]
-    return path.stem, seed, functools.partial(read_trace, path)
+    if exp.background_users == 0 and len(paths) < exp.repetitions:
+        raise ConfigError(
+            f"{exp.trace_load} holds {len(paths)} trace CSVs, fewer than repetitions "
+            f"({exp.repetitions}); without background users a reused file repeats a cell"
+        )
+    return [
+        (path.stem, seed, functools.partial(read_trace, path))
+        for path, seed in zip(itertools.cycle(paths), seeds)
+    ]
 
 
 def _breakdown_means(breakdowns: list[QoEBreakdown]) -> tuple[float, ...]:
@@ -255,7 +278,7 @@ def run_cell(
                 "offline-optimal supports exactly 1 user and no background load"
             )
         t0 = _time.perf_counter()
-        breakdown = offline_optimal(trace, video, sim, exp.offline_dt)
+        breakdown = offline_optimal(trace, video, sim)
         mean_ms = 1000.0 * (_time.perf_counter() - t0) / video.n_chunks
         return ResultRow(
             controller_name, exp.predictor, n_users, trace_id, seed,
@@ -267,14 +290,12 @@ def run_cell(
             raise ConfigError(
                 f"centralized controller capped at {CENTRALIZED_USER_CAP} users"
             )
-        coordinator = CentralizedCoordinator(
-            video, sim, predictor=exp.predictor, horizon=exp.horizon, dp_dt=exp.dp_dt
-        )
+        coordinator = CentralizedCoordinator(video, sim, exp.predictor, exp.horizon)
         controllers = [coordinator] * n_users
     else:
         controllers = [
             build_controller(
-                controller_name, video, sim, exp.predictor, exp.horizon, exp.dp_dt,
+                controller_name, video, sim, exp.predictor, exp.horizon,
                 exp.dump_candidates,
             )
             for _ in range(n_users)
@@ -307,8 +328,7 @@ def run_cell(
 
 
 def _run_cell_task(args):
-    exp, rep, controller_name, n_users = args
-    trace_id, seed, make_trace = _trace_for_rep(exp, rep)
+    exp, (trace_id, seed, make_trace), controller_name, n_users = args
     key = (controller_name, exp.predictor, n_users, trace_id, seed)
     try:
         trace = make_trace()
@@ -332,8 +352,8 @@ class RunOutput:
 def run_experiment(exp: ExperimentConfig) -> RunOutput:
     """Run every (controller x trace x user-count) cell."""
     tasks = [
-        (exp, rep, controller, n_users)
-        for rep in range(exp.repetitions)
+        (exp, source, controller, n_users)
+        for source in _trace_sources(exp)
         for controller in exp.controllers
         for n_users in exp.user_counts
     ]
@@ -407,12 +427,9 @@ def gen_traces(exp: ExperimentConfig, out_dir: str | Path) -> list[Path]:
     out = Path(out_dir) / "traces"
     out.mkdir(parents=True, exist_ok=True)
     paths = []
-    for rep in range(exp.repetitions):
-        seed = exp.seed_base + rep
-        cfg = dataclasses.replace(exp.trace_generate, seed=seed)
-        trace = gen_trace_set(cfg)
+    for rep, (_, _, make_trace) in enumerate(_trace_sources(exp)):
         path = out / f"trace_rep{rep:03d}.csv"
-        write_trace(trace, path)
+        write_trace(make_trace(), path)
         paths.append(path)
     return paths
 

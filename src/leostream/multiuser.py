@@ -445,20 +445,15 @@ def _best_option(
     scale_target: float,
     video: VideoSpec,
     cfg: SimConfig,
-    dp_dt: float | None,
 ) -> PlanOption:
     """Best option for one user given a target satellite assignment."""
-
-    def solve(inst):
-        return f_sat_dpmpc(inst, dp_dt)
-
     stay = view.stay_instance(
         view.links[view.current_satellite].scaled(scale_cur), video, cfg
     )
     if target == view.current_satellite:
-        return PlanOption(target, None, solve(stay))
+        return PlanOption(target, None, f_sat_dpmpc(stay))
     options = handoff_options(
-        stay, target, view.links[target].scaled(scale_target), solve
+        stay, target, view.links[target].scaled(scale_target), f_sat_dpmpc
     )
     if not options:
         raise simcore.UnboundedDownloadError("no feasible handoff plan")
@@ -469,7 +464,6 @@ def centralized_mpc_decide(
     views: list[UserPlanView],
     video: VideoSpec,
     cfg: SimConfig,
-    dp_dt: float | None = None,
 ) -> CentralizedDecision:
     """Joint assignment search maximizing the sum of horizon QoEs.
 
@@ -516,9 +510,7 @@ def centralized_mpc_decide(
             scale_cur = 1.0 / current_counts[view.current_satellite]
             scale_target = 1.0 / target_counts[target]
             try:
-                option = _best_option(
-                    view, target, scale_cur, scale_target, video, cfg, dp_dt
-                )
+                option = _best_option(view, target, scale_cur, scale_target, video, cfg)
             except simcore.UnboundedDownloadError:
                 feasible = False
                 break
@@ -564,20 +556,17 @@ class CentralizedCoordinator:
         cfg: SimConfig,
         predictor: str = "robust",
         horizon: int = 5,
-        dp_dt: float | None = None,
     ):
         self.video = video
         self.cfg = cfg
         self.horizon = horizon
-        self.dp_dt = dp_dt
         self.predictor = predictor
         self._users: dict[int, JointMpcController] = {}
 
     def _user(self, uid: int) -> JointMpcController:
         if uid not in self._users:
             self._users[uid] = JointMpcController(
-                self.video, self.cfg, mode="dual", predictor=self.predictor,
-                horizon=self.horizon, dp_dt=self.dp_dt,
+                self.video, self.cfg, mode="dual", predictor=self.predictor, horizon=self.horizon
             )
         return self._users[uid]
 
@@ -602,7 +591,7 @@ class CentralizedCoordinator:
         ]
         if not views:
             raise PlanningError("no active users to plan for")
-        result = centralized_mpc_decide(views, self.video, self.cfg, self.dp_dt)
+        result = centralized_mpc_decide(views, self.video, self.cfg)
         decision = result.decisions[uid]
         if decision.handoff_now:
             self._user(uid).record_handoff(states[uid])

@@ -224,18 +224,16 @@ def f_sat_mpc(inst: PlanInstance) -> PlanResult:
     return _plan_exhaustive(inst)
 
 
-def f_sat_dpmpc(inst: PlanInstance, dt: float | None = None) -> PlanResult:
+def f_sat_dpmpc(inst: PlanInstance) -> PlanResult:
     """DP-accelerated equivalent of the exhaustive search.
 
-    States are keyed by (floor(time/dt), floor(buffer/dt), bitrate); each
-    key keeps the best accumulated QoE together with its exact time and
-    buffer, so the returned QoE is the true value of a real plan and
-    matches the exhaustive search whenever no two plans collide on the
-    grid. dt defaults to sim.dt_s; handoff_chunk None is the stay branch.
+    States are keyed by (floor(time/dt), floor(buffer/dt), bitrate) with
+    dt = inst.sim.dt_s; each key keeps the best accumulated QoE together
+    with its exact time and buffer, so the returned QoE is the true value
+    of a real plan and matches the exhaustive search whenever no two plans
+    collide on the grid. handoff_chunk None is the stay branch.
     """
-    dt = inst.sim.dt_s if dt is None else dt
-    if dt <= 0:
-        raise PlanningError("dt must be > 0")
+    dt = inst.sim.dt_s
     expand = _child_expander(inst)
     init_key = (
         int(inst.start_t / dt),
@@ -539,22 +537,17 @@ class JointMpcController(_PredictingController):
         mode: str = "dual",
         predictor: str = "robust",
         horizon: int = 5,
-        dp_dt: float | None = None,
         dump_candidates: bool = False,
     ):
         super().__init__(video, cfg, predictor, horizon)
         if mode not in ("dual", "manifold"):
             raise PlanningError(f"unknown mode {mode!r}")
         self.mode = mode
-        self.dp_dt = dp_dt
         self.previous_satellite: int | None = None
         self._last_handoff_chunk: int | None = None
         self.dump_candidates = dump_candidates
         self.candidate_rows: list[tuple[int, int, int | None, float]] = []
         self.last_stats = DecisionStats()
-
-    def _solve(self, inst: PlanInstance) -> PlanResult:
-        return f_sat_dpmpc(inst, self.dp_dt)
 
     def record_handoff(self, state: PlayerState) -> None:
         """Note a handoff away from state's satellite, decided at its chunk."""
@@ -607,7 +600,7 @@ class JointMpcController(_PredictingController):
 
         options = []
         try:
-            options.append(PlanOption(cur, None, self._solve(stay)))
+            options.append(PlanOption(cur, None, f_sat_dpmpc(stay)))
         except UnboundedDownloadError:
             pass
         candidates = select_candidates(
@@ -615,7 +608,7 @@ class JointMpcController(_PredictingController):
         )
         stats.inner_calls = 1 + len(candidates) * view.horizon
         for cand in candidates:
-            found = handoff_options(stay, cand, view.links[cand], self._solve)
+            found = handoff_options(stay, cand, view.links[cand], f_sat_dpmpc)
             options += found
             if self.dump_candidates:
                 self.candidate_rows += [
@@ -693,14 +686,15 @@ class SeparateController(_PredictingController):
 
 
 def offline_optimal_plan(
-    trace: TraceSet, video: VideoSpec, cfg: SimConfig, dt: float | None = None
+    trace: TraceSet, video: VideoSpec, cfg: SimConfig
 ) -> tuple[list[Decision], float]:
     """Full-session DP over true throughput.
 
-    State is (time index, buffer index, bitrate, satellite) with exact
-    time/buffer carried along each kept path; handoffs (with delay) are
-    allowed before any chunk. Returns the per-chunk decisions and the DP
-    objective, which equals the realized session QoE of those decisions.
+    State is (time index, buffer index, bitrate, satellite), the indices on
+    the cfg.dt_s grid, with exact time/buffer carried along each kept path;
+    handoffs (with delay) are allowed before any chunk. Returns the
+    per-chunk decisions and the DP objective, which equals the realized
+    session QoE of those decisions.
 
     Each chunk is one numpy stage over (state x satellite x rung): the
     waits come from one piecewise_downloads_many walk per satellite, and
@@ -712,9 +706,7 @@ def offline_optimal_plan(
     lists keys by their first candidate. The final state is the max over
     (QoE,) + key.
     """
-    dt = cfg.dt_s if dt is None else dt
-    if dt <= 0:
-        raise PlanningError("dt must be > 0")
+    dt = cfg.dt_s
     ladder = np.asarray(video.bitrate_ladder_mbps)
     sizes = video.chunk_sizes_mb
     n_rungs = len(sizes)
@@ -818,11 +810,9 @@ def offline_optimal_plan(
     return decisions, best_q
 
 
-def offline_optimal(
-    trace: TraceSet, video: VideoSpec, cfg: SimConfig, dt: float | None = None
-) -> QoEBreakdown:
+def offline_optimal(trace: TraceSet, video: VideoSpec, cfg: SimConfig) -> QoEBreakdown:
     """Best achievable session QoE under full trace knowledge (DP, then replay)."""
-    decisions, _ = offline_optimal_plan(trace, video, cfg, dt)
+    decisions, _ = offline_optimal_plan(trace, video, cfg)
     state = simcore.initial_state(trace, video, cfg)
     outcomes = []
     for decision in decisions:

@@ -38,13 +38,13 @@ class VideoSpec:
     chunk_sizes_mb: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n_chunks < 1:
+        if not self.n_chunks >= 1:
             raise ValueError("n_chunks must be >= 1")
-        if not self.chunk_duration_s > 0:
-            raise ValueError("chunk_duration_s must be > 0")
+        if not 0 < self.chunk_duration_s < math.inf:
+            raise ValueError("chunk_duration_s must be finite and > 0")
         ladder = self.bitrate_ladder_mbps
-        if not ladder or any(b <= 0 for b in ladder):
-            raise ValueError("bitrate ladder entries must be > 0")
+        if not ladder or not all(0 < b < math.inf for b in ladder):
+            raise ValueError("bitrate ladder entries must be finite and > 0")
         if any(a >= b for a, b in zip(ladder, ladder[1:])):
             raise ValueError("bitrate ladder must be strictly ascending")
         sizes = tuple(b * self.chunk_duration_s for b in ladder)
@@ -66,11 +66,18 @@ class SimConfig:
     dt_s: float = 1.0
 
     def __post_init__(self):
-        for name in ("mu1", "mu2", "mu3", "rtt_s", "handoff_delay_s", "max_buffer_s"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.dt_s <= 0:
-            raise ValueError("dt_s must be > 0")
+        # Written so that NaN fails every check. An infinite weight or
+        # delay turns a 0 * inf term into NaN; only the buffer cap may be
+        # unbounded.
+        for name in ("mu1", "mu2", "mu3", "rtt_s", "handoff_delay_s"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
+        if not self.max_buffer_s >= 0:
+            raise ValueError("max_buffer_s must be >= 0")
+        # dt_s is the one (time, buffer) grid step of the online and the
+        # offline DP.
+        if not 0 < self.dt_s < math.inf:
+            raise ValueError("dt_s must be finite and > 0")
 
 
 @dataclass(frozen=True)

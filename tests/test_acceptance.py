@@ -8,7 +8,7 @@ predictors) runs once per session.
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import pytest
@@ -84,7 +84,7 @@ def suite(video, sim_cfg):
     runs = SuiteRuns()
     for seed in SUITE_SEEDS:
         trace = suite_trace(seed)
-        runs.offline[seed] = offline_optimal(trace, video, sim_cfg, 1.0)
+        runs.offline[seed] = offline_optimal(trace, video, sim_cfg)
         for name in ONLINE_CONTROLLERS:
             for predictor in ("robust", "oracle"):
                 ctrl = _controller(name, video, sim_cfg, predictor)
@@ -104,12 +104,13 @@ def suite(video, sim_cfg):
 
 def test_criterion_01_dp_exhaustive_equivalence(video, sim_cfg):
     rng = np.random.default_rng(2024)
+    fine = replace(sim_cfg, dt_s=0.05)
     start = time.perf_counter()
     agreements = 0
     for _ in range(200):
-        inst = _random_plan_instance(rng, video, sim_cfg, horizon=5)
+        inst = _random_plan_instance(rng, video, fine, horizon=5)
         ex = f_sat_mpc(inst)
-        dp = f_sat_dpmpc(inst, 0.05)
+        dp = f_sat_dpmpc(inst)
         assert dp.best_qoe <= ex.best_qoe + 1e-9
         assert dp.best_qoe >= ex.best_qoe - 0.02 * max(1.0, abs(ex.best_qoe))
         if dp.first_bitrate_idx == ex.first_bitrate_idx:
@@ -135,7 +136,7 @@ def test_criterion_02_dp_acceleration(video6, sim_cfg):
         f_sat_mpc(inst)
         t_ex = time.perf_counter() - t0
         t0 = time.perf_counter()
-        dp = f_sat_dpmpc(inst, 1.0)
+        dp = f_sat_dpmpc(inst)
         t_dp = time.perf_counter() - t0
         speedups.append(t_ex / t_dp)
         max_states = max(max_states, dp.states_visited)
@@ -275,9 +276,7 @@ def test_criterion_09_decision_latency(video6, sim_cfg):
     latencies = []
     for seed in range(3):
         trace = suite_trace(seed)
-        ctrl = JointMpcController(
-            video6, sim_cfg, mode="dual", predictor="robust", dp_dt=1.0
-        )
+        ctrl = JointMpcController(video6, sim_cfg, mode="dual", predictor="robust")
         result = run_session(trace, ctrl, video6, sim_cfg)
         latencies.extend(result.decision_latencies_s)
     median_ms = 1000.0 * float(np.median(latencies))

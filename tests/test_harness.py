@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -108,17 +109,32 @@ def test_cli_config_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize("field, value", [
     ("horizon", 0),
-    ("dp_dt", 0.0),
-    ("dp_dt", -1.0),
-    ("offline_dt", 0.0),
+    ("sim.dt_s", 0.0),
+    ("sim.dt_s", -1.0),
+    ("sim.dt_s", math.nan),
     ("user_counts", []),
     ("seed_base", -3),
+    # json reads a bare NaN; every setting must refuse it.
+    *[(f"sim.{name}", math.nan)
+      for name in ("mu1", "mu2", "mu3", "rtt_s", "handoff_delay_s", "max_buffer_s")],
+    ("sim.mu2", math.inf),
+    ("video.ladder", [0.3, math.nan, 2.85]),
+    # Unknown keys, such as a misspelling or a removed setting, are not dropped.
+    ("repetiton", 5),
+    ("dp_dt", 0.5),
+    ("trace.lod", "traces"),
 ])
 def test_config_rejects_bad_planner_settings(tmp_path, field, value):
-    with pytest.raises(ConfigError, match=field):
-        config_from_dict(_config_dict(**{field: value}))
-    cfg_path = _write_config(tmp_path, controllers=["centralized"], **{field: value})
+    # A dotted field names a key inside a block of the config.
+    data = _config_dict(controllers=["centralized"])
+    block, _, name = field.rpartition(".")
+    (data.setdefault(block, {}) if block else data)[name] = value
+    with pytest.raises(ConfigError, match=name):
+        config_from_dict(data)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(data))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_gen_traces_cli_deterministic(tmp_path):
@@ -147,6 +163,34 @@ def test_run_from_loaded_traces(tmp_path):
     assert main(["run", "--config", str(cfg2), "--out", str(out)]) == 0
     rows = read_result_rows(out / "results.csv")
     assert {r.trace_id for r in rows} == {"trace_rep000", "trace_rep001"}
+
+
+def _one_trace_dir(tmp_path):
+    cfg_path = _write_config(tmp_path, repetitions=1)
+    assert main(["gen-traces", "--config", str(cfg_path), "--out", str(tmp_path / "gen")]) == 0
+    return tmp_path / "gen" / "traces"
+
+
+def test_too_few_trace_files_is_config_error(tmp_path):
+    # Without background users the seed changes nothing, so a reused file
+    # would only repeat a cell under another seed label.
+    loaded = _config_dict(repetitions=2)
+    loaded["trace"] = {"load": str(_one_trace_dir(tmp_path))}
+    with pytest.raises(ConfigError, match="fewer than repetitions"):
+        run_experiment(config_from_dict(loaded))
+    cfg2 = tmp_path / "exp2.json"
+    cfg2.write_text(json.dumps(loaded))
+    assert main(["run", "--config", str(cfg2), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_trace_files_cycle_under_background_load(tmp_path):
+    # With background users each seed draws a different load.
+    loaded = _config_dict(repetitions=2, background_users=3, controllers=["separate:mb"])
+    loaded["trace"] = {"load": str(_one_trace_dir(tmp_path))}
+    rows = run_experiment(config_from_dict(loaded)).rows
+    assert [(r.trace_id, r.seed) for r in rows] == [("trace_rep000", 5), ("trace_rep000", 6)]
+    assert rows[0].qoe_total != rows[1].qoe_total
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -197,8 +197,9 @@ def test_prefix_shared_search_matches_naive_enumeration(inst):
     assert got == expected
 
 
-def _scalar_dp(inst, dt):
+def _scalar_dp(inst):
     """Reference grid DP: one _chunk_wait + settle_chunk + chunk_qoe per rung."""
+    dt = inst.sim.dt_s
     ladder = inst.video.bitrate_ladder_mbps
     init_key = (int(inst.start_t / dt), int(inst.buffer_s / dt), inst.last_bitrate_idx)
     stage = {init_key: (0.0, inst.start_t, inst.buffer_s)}
@@ -243,13 +244,14 @@ def _scalar_dp(inst, dt):
 @settings(max_examples=200)
 @given(_plan_instances(), st.sampled_from((0.25, 1.0)))
 def test_dp_matches_scalar_reference_and_reevaluates_exactly(inst, dt):
+    inst = dataclasses.replace(inst, sim=dataclasses.replace(inst.sim, dt_s=dt))
     try:
-        q, plan, visited = _scalar_dp(inst, dt)
+        q, plan, visited = _scalar_dp(inst)
         expected = (q.hex(), plan, visited)
     except UnboundedDownloadError:
         expected = None
     try:
-        res = f_sat_dpmpc(inst, dt)
+        res = f_sat_dpmpc(inst)
         got = (res.best_qoe.hex(), res.full_bitrate_plan, res.states_visited)
     except UnboundedDownloadError:
         got = None
@@ -293,18 +295,19 @@ def test_dp_buffer_discretization_shares_states(video6, sim_cfg):
     # 8.1 s and 8.2 s buffers floor to the same index at DT = 1 s.
     assert int(8.1 / 1.0) == int(8.2 / 1.0) == 8
     inst = _instance(video6, sim_cfg, buffer_s=8.0, cur=6.0, new=4.0, h=3)
-    res = f_sat_dpmpc(inst, 1.0)
+    res = f_sat_dpmpc(inst)
     assert res.states_visited is not None
     assert res.states_visited < 6**5
 
 
 def test_dp_matches_exhaustive_fine_grid(video, sim_cfg):
     rng = np.random.default_rng(10)
+    fine = dataclasses.replace(sim_cfg, dt_s=0.01)
     agree = 0
     for _ in range(200):
-        inst = _random_instance(rng, VideoSpec(), sim_cfg, horizon=3)
+        inst = _random_instance(rng, VideoSpec(), fine, horizon=3)
         ex = f_sat_mpc(inst)
-        dp = f_sat_dpmpc(inst, 0.01)
+        dp = f_sat_dpmpc(inst)
         assert abs(dp.best_qoe - ex.best_qoe) < 1e-6
         if dp.first_bitrate_idx == ex.first_bitrate_idx:
             agree += 1
@@ -318,15 +321,15 @@ def test_dp_never_exceeds_exhaustive(video, sim_cfg):
     for _ in range(60):
         inst = _random_instance(rng, video, sim_cfg)
         ex = f_sat_mpc(inst)
-        dp = f_sat_dpmpc(inst, 1.0)
+        dp = f_sat_dpmpc(inst)
         assert dp.best_qoe <= ex.best_qoe + 1e-9
 
 
 def test_plan_reevaluation_matches_best_qoe(video, sim_cfg):
     rng = np.random.default_rng(12)
     for _ in range(60):
-        inst = _random_instance(rng, video, sim_cfg)
-        for res in (f_sat_mpc(inst), f_sat_dpmpc(inst, 0.5)):
+        inst = _random_instance(rng, video, dataclasses.replace(sim_cfg, dt_s=0.5))
+        for res in (f_sat_mpc(inst), f_sat_dpmpc(inst)):
             assert evaluate_plan(inst, res.full_bitrate_plan) == pytest.approx(
                 res.best_qoe, abs=1e-9
             )
@@ -348,7 +351,7 @@ def test_prediction_monotonicity(video, sim_cfg):
             sim=inst.sim,
         )
         assert f_sat_mpc(boosted).best_qoe >= f_sat_mpc(inst).best_qoe - 1e-9
-        assert f_sat_dpmpc(boosted, 1.0).best_qoe >= f_sat_dpmpc(inst, 1.0).best_qoe - 1e-9
+        assert f_sat_dpmpc(boosted).best_qoe >= f_sat_dpmpc(inst).best_qoe - 1e-9
 
 
 def _full_joint_optimum(video, cfg, buffer_s, last_idx, rate_by_sat, start_sat, horizon):
@@ -487,13 +490,13 @@ def test_joint_decide_deterministic(video, sim_cfg):
 
 def test_dp_and_exhaustive_controllers_agree_closely(video, sim_cfg, monkeypatch):
     trace = suite_trace(1)
-    dp_ctrl = JointMpcController(video, sim_cfg, mode="dual", dp_dt=0.05)
+    dp_ctrl = JointMpcController(video, dataclasses.replace(sim_cfg, dt_s=0.05), mode="dual")
     dp_res = run_session(trace, dp_ctrl, video, sim_cfg)
 
     # The controller's inner search, swapped for exhaustive enumeration.
     solves = []
 
-    def exhaustive(inst, dt=None):
+    def exhaustive(inst):
         solves.append(inst.handoff_chunk)
         return f_mpc(inst) if inst.handoff_chunk is None else f_sat_mpc(inst)
 
@@ -583,13 +586,13 @@ def test_separation_property_ignores_unused_satellite(video, sim_cfg):
 def test_offline_optimal_flat_rich_link_all_max(sim_cfg):
     video = VideoSpec(n_chunks=12)
     trace = make_flat_trace([50.0], duration_s=120.0)
-    breakdown = offline_optimal(trace, video, sim_cfg, 1.0)
+    breakdown = offline_optimal(trace, video, sim_cfg)
     assert all(oc.bitrate_mbps == 2.85 for oc in breakdown.per_chunk)
 
 
 def test_offline_plan_value_matches_replay(video, sim_cfg):
     trace = suite_trace(2)
-    decisions, value = offline_optimal_plan(trace, video, sim_cfg, 1.0)
+    decisions, value = offline_optimal_plan(trace, video, sim_cfg)
     state = initial_state(trace, video, sim_cfg)
     total = 0.0
     for decision in decisions:
@@ -627,7 +630,7 @@ def test_plan_result_first_action_consistency(video, sim_cfg):
     rng = np.random.default_rng(22)
     for _ in range(20):
         inst = _random_instance(rng, video, sim_cfg)
-        for res in (f_sat_mpc(inst), f_sat_dpmpc(inst, 1.0)):
+        for res in (f_sat_mpc(inst), f_sat_dpmpc(inst)):
             assert res.first_bitrate_idx == res.full_bitrate_plan[0]
             assert len(res.full_bitrate_plan) == inst.horizon
 
@@ -639,15 +642,16 @@ def test_offline_finer_grid_never_loses(sim_cfg):
             alpha=1.0, b_max_mbps=8.0, duration_s=120.0, n_satellites=2,
             min_elevation_deg=45.0, altitude_km=250.0, seed=seed,
         ))
-        fine = offline_optimal(trace, video, sim_cfg, 0.25)
-        coarse = offline_optimal(trace, video, sim_cfg, 1.0)
+        fine = offline_optimal(trace, video, dataclasses.replace(sim_cfg, dt_s=0.25))
+        coarse = offline_optimal(trace, video, sim_cfg)
         assert fine.qoe_total >= coarse.qoe_total - 1e-9
 
 
-def _scalar_offline_plan(trace, video, cfg, dt):
+def _scalar_offline_plan(trace, video, cfg):
     """Reference offline DP: one dict per stage, filled in stage order, then
     track order, then ascending rung; a later candidate replaces a key only
     on a strictly greater QoE, and each key keeps its first insertion slot."""
+    dt = cfg.dt_s
     ladder = video.bitrate_ladder_mbps
     series = {sat: RateSeries.for_satellite(trace, sat) for sat in trace.sat_ids}
     start = initial_state(trace, video, cfg)
@@ -723,8 +727,8 @@ def _offline_cases(draw):
         begin = draw(st.integers(0, int(duration) - 2))
         end = min(duration, begin + draw(st.integers(2, 12)))
         trace = inject_obstructions(trace, [(draw(st.integers(0, n_sats - 1)), float(begin), end)])
-    cfg = SimConfig(max_buffer_s=draw(st.sampled_from((60.0, 6.0, math.inf))))
-    return trace, video, cfg, dt
+    cfg = SimConfig(max_buffer_s=draw(st.sampled_from((60.0, 6.0, math.inf))), dt_s=dt)
+    return trace, video, cfg
 
 
 def _relabelled(trace, sat_ids):
@@ -736,15 +740,15 @@ def _relabelled(trace, sat_ids):
 @settings(max_examples=100)
 @given(_offline_cases())
 @example((_relabelled(make_flat_trace([20.0, 20.0, 20.0], duration_s=30.0), (2, 0, 1)),
-          VideoSpec(n_chunks=8), SimConfig(), 1.0))
-@example((make_flat_trace([20.0, 20.0], duration_s=30.0), VideoSpec(n_chunks=8), SimConfig(), 1.0))
-@example((make_flat_trace([1.0] * 3, duration_s=8.0), VideoSpec(n_chunks=8), SimConfig(), 0.25))
+          VideoSpec(n_chunks=8), SimConfig()))
+@example((make_flat_trace([20.0, 20.0], duration_s=30.0), VideoSpec(n_chunks=8), SimConfig()))
+@example((make_flat_trace([1.0] * 3, duration_s=8.0), VideoSpec(n_chunks=8), SimConfig(dt_s=0.25)))
 @example((make_flat_trace([20.0, 20.0], duration_s=30.0), VideoSpec(n_chunks=8),
-          SimConfig(max_buffer_s=math.inf), 1.0))
+          SimConfig(max_buffer_s=math.inf)))
 def test_offline_dp_matches_scalar_reference(case):
-    trace, video, cfg, dt = case
-    decisions, value = offline_optimal_plan(trace, video, cfg, dt)
-    ref_decisions, ref_value = _scalar_offline_plan(trace, video, cfg, dt)
+    trace, video, cfg = case
+    decisions, value = offline_optimal_plan(trace, video, cfg)
+    ref_decisions, ref_value = _scalar_offline_plan(trace, video, cfg)
     assert decisions == ref_decisions
     assert value.hex() == ref_value.hex()
     assert all(type(d.bitrate_idx) is int and type(d.target_satellite) is int for d in decisions)
@@ -762,8 +766,6 @@ def test_offline_dp_fine_grid_keys_match_scalar_reference(sim_cfg, dt):
         dataclasses.replace(tr, throughput_mbps=np.repeat(rates, 5))
         for tr, rates in zip(flat.tracks, steps)
     ), flat.meta)
-    video = VideoSpec(n_chunks=4)
+    video, cfg = VideoSpec(n_chunks=4), dataclasses.replace(sim_cfg, dt_s=dt)
     for trace in (suite_trace(4), stepped):
-        assert offline_optimal_plan(trace, video, sim_cfg, dt) == _scalar_offline_plan(
-            trace, video, sim_cfg, dt
-        )
+        assert offline_optimal_plan(trace, video, cfg) == _scalar_offline_plan(trace, video, cfg)
