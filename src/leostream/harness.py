@@ -16,7 +16,6 @@ import io
 import itertools
 import json
 import time as _time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -130,11 +129,33 @@ def _reject_unknown(block, known: tuple[str, ...], where: str) -> None:
             raise ConfigError(f"unknown {where} key {key!r}; choose from {known}")
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _reject_non_integer(block, keys: tuple[str, ...], where: str) -> None:
+    """Integer settings must be JSON integers: a float is not truncated and
+    a bool is not read as 0 or 1."""
+    if not isinstance(block, dict):
+        return  # the block's own check reports it
+    for key in keys:
+        if key in block and not _is_integer(block[key]):
+            raise ConfigError(f"{where}{key} must be an integer, got {block[key]!r}")
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a parsed JSON config file."""
     _reject_unknown(data, CONFIG_KEYS, "config")
     trace = data.get("trace", {})
     _reject_unknown(trace, TRACE_KEYS, "trace")
+    _reject_non_integer(
+        data, ("horizon", "repetitions", "seed_base", "jobs", "background_users"), ""
+    )
+    _reject_non_integer(data.get("video"), ("n_chunks",), "video.")
+    _reject_non_integer(trace.get("generate"), ("n_satellites",), "trace.generate.")
+    user_counts = data.get("user_counts", (1,))
+    if not isinstance(user_counts, list | tuple) or not all(map(_is_integer, user_counts)):
+        raise ConfigError(f"user_counts must be a list of integers, got {user_counts!r}")
     try:
         gen_cfg = None
         load = None
@@ -154,13 +175,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             sim=sim,
             controllers=tuple(data.get("controllers", ("separate:mb", "joint:dual"))),
             predictor=data.get("predictor", "robust"),
-            user_counts=tuple(data.get("user_counts", (1,))),
-            background_users=int(data.get("background_users", 0)),
-            repetitions=int(data.get("repetitions", 1)),
-            seed_base=int(data.get("seed_base", 0)),
+            user_counts=tuple(user_counts),
+            background_users=data.get("background_users", 0),
+            repetitions=data.get("repetitions", 1),
+            seed_base=data.get("seed_base", 0),
             out_dir=data.get("out_dir", "results"),
-            horizon=int(data.get("horizon", 5)),
-            jobs=int(data.get("jobs", 1)),
+            horizon=data.get("horizon", 5),
+            jobs=data.get("jobs", 1),
             dump_candidates=bool(data.get("dump_candidates", False)),
         )
     except (TypeError, ValueError) as exc:
@@ -359,6 +380,10 @@ def run_experiment(exp: ExperimentConfig) -> RunOutput:
     ]
     results = []
     if exp.jobs > 1:
+        # Imported here: multiprocessing and its imports would otherwise
+        # load into every process that imports the harness.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=exp.jobs) as pool:
             results = list(pool.map(_run_cell_task, tasks))
     else:

@@ -21,8 +21,10 @@ import numpy as np
 from . import simcore
 from .planners import (
     JointMpcController,
+    PlanInstance,
     PlanningError,
     PlanOption,
+    PlanResult,
     UserPlanView,
     f_sat_dpmpc,
     handoff_options,
@@ -438,6 +440,43 @@ class CentralizedDecision:
     per_user_qoe: dict[int, float]
 
 
+class DpMemo:
+    """f_sat_dpmpc outcomes keyed by PlanInstance value.
+
+    The multi-user model repeats instances: every user starts from the
+    same state, an assignment's stay solve does not depend on where the
+    others hand off to, and users deciding at the same instant re-plan
+    everyone from the same states. A solve is a pure function of its
+    instance, so a stored result, or a stored UnboundedDownloadError
+    raised again, is bit-identical to solving anew. retire() ends a call
+    and keeps only the entries that call touched, so between calls the
+    memo holds one call's options.
+    """
+
+    __slots__ = ("_kept", "_touched")
+
+    def __init__(self):
+        self._kept: dict = {}
+        self._touched: dict = {}
+
+    def solve(self, inst: PlanInstance) -> PlanResult:
+        outcome = self._touched.get(inst)
+        if outcome is None:
+            outcome = self._kept.get(inst)
+            if outcome is None:
+                try:
+                    outcome = f_sat_dpmpc(inst)
+                except simcore.UnboundedDownloadError as exc:
+                    outcome = exc
+            self._touched[inst] = outcome
+        if isinstance(outcome, simcore.UnboundedDownloadError):
+            raise outcome.with_traceback(None)
+        return outcome
+
+    def retire(self) -> None:
+        self._kept, self._touched = self._touched, {}
+
+
 def _best_option(
     view: UserPlanView,
     target: int,
@@ -445,15 +484,16 @@ def _best_option(
     scale_target: float,
     video: VideoSpec,
     cfg: SimConfig,
+    solve,
 ) -> PlanOption:
     """Best option for one user given a target satellite assignment."""
     stay = view.stay_instance(
         view.links[view.current_satellite].scaled(scale_cur), video, cfg
     )
     if target == view.current_satellite:
-        return PlanOption(target, None, f_sat_dpmpc(stay))
+        return PlanOption(target, None, solve(stay))
     options = handoff_options(
-        stay, target, view.links[target].scaled(scale_target), f_sat_dpmpc
+        stay, target, view.links[target].scaled(scale_target), solve
     )
     if not options:
         raise simcore.UnboundedDownloadError("no feasible handoff plan")
@@ -464,18 +504,30 @@ def centralized_mpc_decide(
     views: list[UserPlanView],
     video: VideoSpec,
     cfg: SimConfig,
+    memo: DpMemo | None = None,
 ) -> CentralizedDecision:
     """Joint assignment search maximizing the sum of horizon QoEs.
 
     Each user's candidates are its current satellite and the
     best-predicted runner-up; predicted throughput on a satellite is
     split equally among the users assigned to it within the horizon.
+    Identical instances are solved once through memo, a fresh DpMemo by
+    default; a memo passed in carries this call's solves to the next.
     """
     if len(views) > CENTRALIZED_USER_CAP:
         raise PlanningError(
             f"centralized search capped at {CENTRALIZED_USER_CAP} users, got {len(views)}"
         )
+    memo = DpMemo() if memo is None else memo
+    try:
+        return _centralized_search(views, video, cfg, memo.solve)
+    finally:
+        memo.retire()
 
+
+def _centralized_search(
+    views: list[UserPlanView], video: VideoSpec, cfg: SimConfig, solve
+) -> CentralizedDecision:
     candidate_lists = []
     for view in views:
         runner = select_candidates(
@@ -510,7 +562,9 @@ def centralized_mpc_decide(
             scale_cur = 1.0 / current_counts[view.current_satellite]
             scale_target = 1.0 / target_counts[target]
             try:
-                option = _best_option(view, target, scale_cur, scale_target, video, cfg)
+                option = _best_option(
+                    view, target, scale_cur, scale_target, video, cfg, solve
+                )
             except simcore.UnboundedDownloadError:
                 feasible = False
                 break
@@ -548,6 +602,8 @@ class CentralizedCoordinator:
     action (the others re-plan at their own boundaries). Each user's
     predictions, no-bounce-back exclusion and handoff record live in its
     own joint:dual controller, whose planning view the search reads.
+    The DP memo carries each call's solves to the next call, which reuses
+    them when users decide at the same instant.
     """
 
     def __init__(
@@ -562,6 +618,7 @@ class CentralizedCoordinator:
         self.horizon = horizon
         self.predictor = predictor
         self._users: dict[int, JointMpcController] = {}
+        self._memo = DpMemo()
 
     def _user(self, uid: int) -> JointMpcController:
         if uid not in self._users:
@@ -591,7 +648,7 @@ class CentralizedCoordinator:
         ]
         if not views:
             raise PlanningError("no active users to plan for")
-        result = centralized_mpc_decide(views, self.video, self.cfg)
+        result = centralized_mpc_decide(views, self.video, self.cfg, self._memo)
         decision = result.decisions[uid]
         if decision.handoff_now:
             self._user(uid).record_handoff(states[uid])

@@ -133,10 +133,15 @@ class RateSeries:
 
     The series is treated as immutable: lookups read a Python-float copy
     of `rates` taken at construction, which avoids boxing a numpy scalar
-    on every segment of the planners' inner loop.
+    on every segment of the planners' inner loop. Two series are equal
+    when their anchor, sample step and rate bits are, so a PlanInstance
+    can key a memo of solves; the key and its hash are built on first use.
     """
 
-    __slots__ = ("anchor_t", "sample_dt", "rates", "_values", "_last", "_next_positive")
+    __slots__ = (
+        "anchor_t", "sample_dt", "rates", "_values", "_last", "_next_positive",
+        "_key", "_hash",
+    )
 
     def __init__(self, anchor_t: float, sample_dt: float, rates):
         self.anchor_t = anchor_t
@@ -147,6 +152,27 @@ class RateSeries:
         self._values = self.rates.tolist()
         self._last = len(self._values) - 1
         self._next_positive = None
+        self._key = None
+        self._hash = None
+
+    def _value_key(self) -> tuple:
+        key = self._key
+        if key is None:
+            key = self._key = (self.anchor_t, self.sample_dt, self.rates.tobytes())
+        return key
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, RateSeries):
+            return NotImplemented
+        return self._value_key() == other._value_key()
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self._value_key())
+        return h
 
     @classmethod
     def constant(cls, rate_mbps: float) -> "RateSeries":

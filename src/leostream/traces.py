@@ -93,22 +93,21 @@ class TraceGenConfig:
     pass_overlap_frac: float = 0.25
 
     def __post_init__(self):
-        if self.b_max_mbps <= 0:
-            raise TraceError("b_max_mbps must be > 0")
-        if self.sample_dt <= 0:
-            raise TraceError("sample_dt must be > 0")
-        if self.duration_s <= 0:
-            raise TraceError("duration_s must be > 0")
-        if self.n_satellites < 1:
+        # Written so that NaN fails every check.
+        for name in ("alpha", "noise_mean"):
+            if not math.isfinite(getattr(self, name)):
+                raise TraceError(f"{name} must be finite")
+        for name in ("b_max_mbps", "sample_dt", "duration_s", "altitude_km", "speed_kms"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise TraceError(f"{name} must be finite and > 0")
+        if not 0 <= self.noise_std < math.inf:
+            raise TraceError("noise_std must be finite and >= 0")
+        if not self.n_satellites >= 1:
             raise TraceError("n_satellites must be >= 1")
         if not 0.0 < self.min_elevation_deg < 90.0:
             raise TraceError("min_elevation_deg must be in (0, 90)")
         if not 0.0 <= self.pass_overlap_frac < 1.0:
             raise TraceError("pass_overlap_frac must be in [0, 1)")
-        if self.noise_std < 0:
-            raise TraceError("noise_std must be >= 0")
-        if self.altitude_km <= 0 or self.speed_kms <= 0:
-            raise TraceError("altitude_km and speed_kms must be > 0")
 
 
 @dataclass(frozen=True, eq=False)

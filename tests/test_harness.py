@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -135,6 +138,62 @@ def test_config_rejects_bad_planner_settings(tmp_path, field, value):
     cfg_path.write_text(json.dumps(data))
     assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "name", ["alpha", "noise_mean", "b_max_mbps", "noise_std", "sample_dt", "duration_s"]
+)
+def test_config_rejects_nan_trace_generation_setting(tmp_path, name):
+    # NaN passes a check written as `x <= 0`; it must be a config error
+    # naming the field, not a run in which every cell fails.
+    data = _config_dict()
+    data["trace"]["generate"][name] = math.nan
+    with pytest.raises(ConfigError, match=name):
+        config_from_dict(data)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert main(["gen-traces", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("path, value", [
+    (("video", "n_chunks"), 2.5),
+    (("horizon",), 2.7),
+    (("repetitions",), 1.9),
+    (("seed_base",), 1.0),
+    (("jobs",), True),
+    (("background_users",), 0.5),
+    (("trace", "generate", "n_satellites"), 2.0),
+    (("user_counts",), [1, 2.5]),
+])
+def test_config_rejects_non_integer_setting(tmp_path, path, value):
+    # A float is neither truncated nor left to fail every cell, and a bool
+    # is not read as a number.
+    data = _config_dict()
+    block = data
+    for key in path[:-1]:
+        block = block.setdefault(key, {})
+    block[path[-1]] = value
+    with pytest.raises(ConfigError, match=f"{path[-1]} must be"):
+        config_from_dict(data)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_harness_import_leaves_out_multiprocessing():
+    # The process pool is imported only by a run with jobs > 1.
+    code = "import sys, leostream.harness; print('multiprocessing' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_gen_traces_cli_deterministic(tmp_path):

@@ -402,3 +402,112 @@ def test_centralized_dominates_independent_two_user_oracle(video, sim_cfg):
             video, sim_cfg, seed=seed,
         )
         assert central.qos >= independent.qos - 1e-6
+
+
+class _SolveEvery(multiuser.DpMemo):
+    """A memo that keeps nothing: every instance is solved anew."""
+
+    __slots__ = ()
+
+    def solve(self, inst):
+        return multiuser.f_sat_dpmpc(inst)
+
+
+def _centralized_run(trace, video, sim_cfg, n_users, n_background, seed, memo=None):
+    coord = CentralizedCoordinator(video, sim_cfg, predictor="robust")
+    if memo is not None:
+        coord._memo = memo
+    return simulate_multi(
+        MultiUserScenario(trace=trace, controllers=[coord] * n_users, n_background=n_background),
+        video, sim_cfg, seed=seed,
+    )
+
+
+@settings(max_examples=3)
+@given(
+    seed=st.integers(0, 10_000),
+    rates=st.tuples(st.floats(1.0, 8.0), st.floats(1.0, 8.0)),
+    n_users=st.integers(2, 3),
+    n_background=st.sampled_from([0, 5]),
+)
+@example(seed=3, rates=(4.0, 3.0), n_users=3, n_background=5)
+def test_memoised_centralized_matches_solving_every_instance(
+    seed, rates, n_users, n_background
+):
+    # Users on a suite trace move in lockstep through its pass seams; on
+    # two flat links the planner soon splits them, so their states and
+    # instances diverge.
+    sim_cfg = SimConfig()
+    for trace, video in [
+        (suite_trace(seed), VideoSpec()),
+        (make_flat_trace(list(rates)), VideoSpec(n_chunks=20)),
+    ]:
+        memoised = _centralized_run(trace, video, sim_cfg, n_users, n_background, seed)
+        fresh = _centralized_run(
+            trace, video, sim_cfg, n_users, n_background, seed, memo=_SolveEvery()
+        )
+        assert memoised.decisions == fresh.decisions
+        assert memoised.per_user == fresh.per_user
+        assert memoised.qos == fresh.qos
+        assert memoised.share_events == fresh.share_events
+        assert memoised.failures == fresh.failures
+
+
+def test_identical_users_at_the_same_instant_are_solved_once(video, sim_cfg, monkeypatch):
+    solves = []
+    solve = multiuser.f_sat_dpmpc
+
+    def counting(inst):
+        solves.append(inst)
+        return solve(inst)
+
+    monkeypatch.setattr(multiuser, "f_sat_dpmpc", counting)
+    trace = make_flat_trace([4.0, 3.0])
+    start = PlayerState(0, 0.0, 4.0, 0, 0)
+    horizon = 5
+    coord = CentralizedCoordinator(video, sim_cfg, predictor="oracle", horizon=horizon)
+    coord.decide_multi(0, [start, start], trace)
+    # Both users share satellite 0 before any handoff, so one stay solve
+    # serves every assignment; the handoff solves differ only in how many
+    # users satellite 1 carries (one or both).
+    assert len(solves) == 1 + 2 * horizon
+    assert len(set(solves)) == len(solves)
+    coord.decide_multi(1, [start, start], trace)
+    assert len(solves) == 1 + 2 * horizon
+
+    # The same users, each instance solved anew: every assignment repeats
+    # its solves, and the second user's call repeats the first's.
+    solves.clear()
+    coord = CentralizedCoordinator(video, sim_cfg, predictor="oracle", horizon=horizon)
+    coord._memo = _SolveEvery()
+    for uid in (0, 1):
+        coord.decide_multi(uid, [start, start], trace)
+    assert len(solves) == 2 * 4 * (1 + horizon)
+    assert len(set(solves)) == 1 + 2 * horizon
+
+
+def test_memo_replays_unbounded_outcomes_and_keeps_one_call(video, sim_cfg, monkeypatch):
+    calls = []
+
+    def unbounded(inst):
+        calls.append(inst)
+        raise UnboundedDownloadError("all horizon plans are unbounded")
+
+    monkeypatch.setattr(multiuser, "f_sat_dpmpc", unbounded)
+    memo = multiuser.DpMemo()
+    view = _view(0, {0: 4.0}, {0: 4.0}, cur=0, video=video)
+    inst = view.stay_instance(view.links[0], video, sim_cfg)
+    for _ in range(3):
+        with pytest.raises(UnboundedDownloadError, match="unbounded"):
+            memo.solve(inst)
+    assert calls == [inst]
+
+    # A call keeps what it touched; the call after it drops what it did not.
+    memo.retire()
+    other = view.stay_instance(RateSeries.constant(2.0), video, sim_cfg)
+    with pytest.raises(UnboundedDownloadError):
+        memo.solve(other)
+    memo.retire()
+    with pytest.raises(UnboundedDownloadError):
+        memo.solve(inst)
+    assert calls == [inst, other, inst]

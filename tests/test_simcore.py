@@ -94,6 +94,22 @@ def test_rate_series_single_sample_holds_forever():
     assert RateSeries.constant(0.1).rate_and_edge(3.0) == (0.1, math.inf)
 
 
+def test_rate_series_equality_is_by_value():
+    series = RateSeries(5.0, 1.0, [2.0, 3.0])
+    same = RateSeries(5.0, 1.0, np.array([2.0, 3.0]))
+    assert series == same and hash(series) == hash(same)
+    assert RateSeries.constant(4.0).scaled(0.5) == RateSeries.constant(2.0)
+    for other in (
+        RateSeries(5.0, 1.0, [2.0, 3.5]),
+        RateSeries(5.0, 1.0, [2.0]),
+        RateSeries(5.0, 2.0, [2.0, 3.0]),
+        RateSeries(4.0, 1.0, [2.0, 3.0]),
+    ):
+        assert series != other
+    assert series != (5.0, 1.0, [2.0, 3.0])
+    assert len({series, same, RateSeries(5.0, 1.0, [2.0, 3.5])}) == 2
+
+
 def test_download_time_flat(sim_cfg):
     trace = make_flat_trace([10.0], duration_s=60.0)
     # 2.85 Mbps x 2 s = 5.7 Mb at 10 Mbps, plus one 80 ms RTT.

@@ -139,6 +139,21 @@ def test_gen_rejects_bad_config():
         )
 
 
+@pytest.mark.parametrize("name, value", [
+    *[(name, math.nan) for name in (
+        "alpha", "noise_mean", "b_max_mbps", "noise_std", "sample_dt", "duration_s",
+        "altitude_km", "speed_kms", "min_elevation_deg", "pass_overlap_frac",
+    )],
+    ("alpha", math.inf),
+    ("b_max_mbps", math.inf),
+    ("duration_s", math.inf),
+    ("noise_std", -1.0),
+])
+def test_gen_rejects_non_finite_setting(name, value):
+    with pytest.raises(TraceError, match=name):
+        TraceGenConfig(**{name: value})
+
+
 def test_obstruction_empty_windows_is_identity():
     trace = make_flat_trace([20.0], duration_s=60.0)
     assert inject_obstructions(trace, []) == trace
