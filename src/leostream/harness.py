@@ -152,7 +152,13 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         data, ("horizon", "repetitions", "seed_base", "jobs", "background_users"), ""
     )
     _reject_non_integer(data.get("video"), ("n_chunks",), "video.")
-    _reject_non_integer(trace.get("generate"), ("n_satellites",), "trace.generate.")
+    generate = trace.get("generate")
+    _reject_non_integer(generate, ("n_satellites",), "trace.generate.")
+    if isinstance(generate, dict) and "seed" in generate:
+        raise ConfigError(
+            "trace.generate.seed is not used: each repetition's trace seed is "
+            "seed_base + repetition; set seed_base or --seed instead"
+        )
     user_counts = data.get("user_counts", (1,))
     if not isinstance(user_counts, list | tuple) or not all(map(_is_integer, user_counts)):
         raise ConfigError(f"user_counts must be a list of integers, got {user_counts!r}")

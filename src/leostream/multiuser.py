@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import time as _time
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,14 +91,6 @@ def make_background_profile(trace: TraceSet, n_background: int, seed: int) -> Ba
     return BackgroundProfile(fractions=fractions)
 
 
-def background_capacity_fraction(
-    profile: BackgroundProfile | None, sat_id: int, t: float
-) -> float:
-    if profile is None:
-        return 0.0
-    return profile.fraction(sat_id, t)
-
-
 def allocate_shares(
     capacity_mbps: float, active: list[int], background_fraction: float
 ) -> dict[int, float]:
@@ -129,10 +122,6 @@ class MultiUserScenario:
     controllers: list
     n_background: int = 0
 
-    @property
-    def n_users(self) -> int:
-        return len(self.controllers)
-
 
 @dataclass
 class MultiUserResult:
@@ -145,10 +134,12 @@ class MultiUserResult:
 
 
 class _User:
+    # A decision fixes request_t (wallclock, plus the handoff delay on a
+    # handoff) and transfer_pos (request_t + RTT) before the transfer starts.
     __slots__ = (
-        "uid", "controller", "state", "phase", "ready_t", "transfer_pos",
-        "transfer_remaining", "transfer_sat", "transfer_start", "decision",
-        "outcomes", "decisions", "latencies",
+        "uid", "controller", "state", "phase", "ready_t", "request_t",
+        "transfer_pos", "transfer_remaining", "decision", "outcomes",
+        "decisions", "latencies",
     )
 
     def __init__(self, uid: int, controller, state: PlayerState):
@@ -157,10 +148,9 @@ class _User:
         self.state = state
         self.phase = "decide"
         self.ready_t = 0.0
+        self.request_t = 0.0
         self.transfer_pos = 0.0
         self.transfer_remaining = 0.0
-        self.transfer_sat = 0
-        self.transfer_start = 0.0
         self.decision: Decision | None = None
         self.outcomes = []
         self.decisions = []
@@ -202,7 +192,7 @@ def simulate_multi(
 ) -> MultiUserResult:
     """Event-driven shared-capacity simulation of all video users."""
     trace = scenario.trace
-    if scenario.n_users < 1:
+    if not scenario.controllers:
         raise MultiUserError("need at least one video user")
     profile = None
     if scenario.n_background > 0:
@@ -211,6 +201,11 @@ def simulate_multi(
     series = {tr.sat_id: RateSeries.for_satellite(trace, tr.sat_id) for tr in trace.tracks}
     users = []
     failures: dict[int, str] = {}
+
+    def fail(user: _User, exc: Exception) -> None:
+        user.phase = "failed"
+        failures[user.uid] = repr(exc)
+
     start = simcore.initial_state(trace, video, cfg)
     for uid, controller in enumerate(scenario.controllers):
         user = _User(uid, controller, start)
@@ -218,28 +213,17 @@ def simulate_multi(
         try:
             _observe_start(user, trace)
         except Exception as exc:
-            user.phase = "failed"
-            failures[uid] = repr(exc)
+            fail(user, exc)
 
     share_events: list[ShareEvent] = []
     last_logged: dict[int, tuple] = {}
 
-    def fail(user: _User, exc: Exception) -> None:
-        user.phase = "failed"
-        failures[user.uid] = repr(exc)
-
     def complete_chunk(user: _User, finish_t: float) -> None:
-        decision = user.decision
-        handoff = decision.handoff_now
-        if handoff:
-            t_h = user.state.wallclock_s + cfg.handoff_delay_s
-        else:
-            t_h = user.state.wallclock_s
-        dl = finish_t - t_h
-        new_state, outcome = simcore.apply_chunk(user.state, decision, dl, video, cfg)
+        dl = finish_t - user.request_t
+        new_state, outcome = simcore.apply_chunk(user.state, user.decision, dl, video, cfg)
         user.state = new_state
         user.outcomes.append(outcome)
-        user.decisions.append(decision)
+        user.decisions.append(user.decision)
         _observe_chunk(user, trace, outcome)
         if new_state.chunk_index >= video.n_chunks:
             user.phase = "done"
@@ -261,17 +245,15 @@ def simulate_multi(
                         continue
                     user.decision = decision
                     if decision.handoff_now:
-                        t_h = user.state.wallclock_s + cfg.handoff_delay_s
+                        user.request_t = user.state.wallclock_s + cfg.handoff_delay_s
                     else:
-                        t_h = user.state.wallclock_s
-                    user.transfer_start = t_h + cfg.rtt_s
+                        user.request_t = user.state.wallclock_s
+                    user.transfer_pos = user.request_t + cfg.rtt_s
                     user.phase = "prep"
                     changed = True
-                elif user.phase == "prep" and user.transfer_start <= now:
+                elif user.phase == "prep" and user.transfer_pos <= now:
                     user.phase = "transfer"
-                    user.transfer_pos = user.transfer_start
                     user.transfer_remaining = video.chunk_mb(user.decision.bitrate_idx)
-                    user.transfer_sat = user.decision.target_satellite
                     changed = True
 
     now = 0.0
@@ -283,7 +265,7 @@ def simulate_multi(
         active_by_sat: dict[int, list[_User]] = {}
         for user in users:
             if user.phase == "transfer":
-                active_by_sat.setdefault(user.transfer_sat, []).append(user)
+                active_by_sat.setdefault(user.decision.target_satellite, []).append(user)
 
         next_candidates: list[float] = []
         rate_of: dict[int, float] = {}
@@ -292,23 +274,20 @@ def simulate_multi(
             members = active_by_sat[sat_id]
             pos = members[0].transfer_pos
             capacity, seg_end = series[sat_id].rate_and_edge(pos)
-            bg = background_capacity_fraction(profile, sat_id, pos)
-            shares = allocate_shares(capacity, [u.uid for u in members], bg)
+            bg = 0.0 if profile is None else profile.fraction(sat_id, pos)
+            active = tuple(u.uid for u in members)
+            shares = allocate_shares(capacity, list(active), bg)
             if seg_end < math.inf:
                 next_candidates.append(seg_end)
-            signature = (
-                tuple(u.uid for u in members),
-                tuple(sorted(shares.items())),
-                capacity,
-                bg,
-            )
+            # The shares follow from these three, so they need no place here.
+            signature = (active, capacity, bg)
             if last_logged.get(sat_id) != signature:
                 last_logged[sat_id] = signature
                 share_events.append(
                     ShareEvent(
                         time_s=pos,
                         satellite_id=sat_id,
-                        active_users=tuple(u.uid for u in members),
+                        active_users=active,
                         per_user_mbps=dict(shares),
                         capacity_mbps=capacity,
                         background_fraction=bg,
@@ -350,8 +329,8 @@ def simulate_multi(
         for user in users:
             if user.phase == "decide" and user.ready_t > now:
                 next_candidates.append(user.ready_t)
-            elif user.phase == "prep" and user.transfer_start > now:
-                next_candidates.append(user.transfer_start)
+            elif user.phase == "prep" and user.transfer_pos > now:
+                next_candidates.append(user.transfer_pos)
 
         future = [t for t in next_candidates if t > now]
         if not future:
@@ -378,14 +357,12 @@ def simulate_multi(
     else:
         raise MultiUserError("event loop exceeded the iteration budget")
 
-    per_user: list[QoEBreakdown | None] = []
-    for user in users:
-        if user.uid in failures or not user.outcomes:
-            per_user.append(None)
-            if user.uid not in failures:
-                failures[user.uid] = "no chunks completed"
-        else:
-            per_user.append(simcore.session_qoe(user.outcomes, cfg))
+    # The loop ends only with every user done or failed, and a done user
+    # has settled every chunk.
+    per_user = [
+        None if user.uid in failures else simcore.session_qoe(user.outcomes, cfg)
+        for user in users
+    ]
     scores = [b.qoe_total for b in per_user if b is not None]
     if not scores:
         raise MultiUserError(f"all users failed: {failures}")
@@ -433,13 +410,6 @@ def result_json(result: MultiUserResult, include_share_events: bool = False) -> 
     return payload
 
 
-@dataclass
-class CentralizedDecision:
-    decisions: dict[int, Decision]
-    objective: float
-    per_user_qoe: dict[int, float]
-
-
 class DpMemo:
     """f_sat_dpmpc outcomes keyed by PlanInstance value.
 
@@ -448,9 +418,10 @@ class DpMemo:
     others hand off to, and users deciding at the same instant re-plan
     everyone from the same states. A solve is a pure function of its
     instance, so a stored result, or a stored UnboundedDownloadError
-    raised again, is bit-identical to solving anew. retire() ends a call
-    and keeps only the entries that call touched, so between calls the
-    memo holds one call's options.
+    raised again, is bit-identical to solving anew. retire() starts a
+    call: it keeps only the entries the previous call touched, so each
+    call sees exactly the previous call's solves, whether or not that call
+    raised.
     """
 
     __slots__ = ("_kept", "_touched")
@@ -505,8 +476,9 @@ def centralized_mpc_decide(
     video: VideoSpec,
     cfg: SimConfig,
     memo: DpMemo | None = None,
-) -> CentralizedDecision:
-    """Joint assignment search maximizing the sum of horizon QoEs.
+) -> dict[int, Decision]:
+    """Joint assignment search maximizing the sum of horizon QoEs; returns
+    each user's Decision by user id.
 
     Each user's candidates are its current satellite and the
     best-predicted runner-up; predicted throughput on a satellite is
@@ -519,78 +491,48 @@ def centralized_mpc_decide(
             f"centralized search capped at {CENTRALIZED_USER_CAP} users, got {len(views)}"
         )
     memo = DpMemo() if memo is None else memo
-    try:
-        return _centralized_search(views, video, cfg, memo.solve)
-    finally:
-        memo.retire()
-
-
-def _centralized_search(
-    views: list[UserPlanView], video: VideoSpec, cfg: SimConfig, solve
-) -> CentralizedDecision:
-    candidate_lists = []
-    for view in views:
-        runner = select_candidates(
-            "dual",
-            view.visible,
-            view.scalars,
-            view.current_satellite,
-            view.previous_satellite,
+    memo.retire()
+    candidate_lists = [
+        [view.current_satellite] + select_candidates(
+            "dual", view.visible, view.scalars, view.current_satellite, view.previous_satellite
         )
-        candidate_lists.append([view.current_satellite] + runner)
+        for view in views
+    ]
 
     # Everyone rides their current satellite until their handoff point,
     # so pre-handoff shares are counted by current satellite while
     # post-handoff shares are counted by the assigned target.
-    current_counts: dict[int, int] = {}
-    for view in views:
-        current_counts[view.current_satellite] = (
-            current_counts.get(view.current_satellite, 0) + 1
-        )
+    current_counts = Counter(view.current_satellite for view in views)
 
     best_total = None
     best_options = None
     for assignment in itertools.product(*candidate_lists):
-        target_counts: dict[int, int] = {}
-        for sat in assignment:
-            target_counts[sat] = target_counts.get(sat, 0) + 1
-
+        target_counts = Counter(assignment)
         total = 0.0
         options = []
-        feasible = True
         for view, target in zip(views, assignment):
             scale_cur = 1.0 / current_counts[view.current_satellite]
             scale_target = 1.0 / target_counts[target]
             try:
                 option = _best_option(
-                    view, target, scale_cur, scale_target, video, cfg, solve
+                    view, target, scale_cur, scale_target, video, cfg, memo.solve
                 )
             except simcore.UnboundedDownloadError:
-                feasible = False
-                break
+                break  # an infeasible assignment
             total += option.result.best_qoe
             options.append(option)
-        if not feasible:
-            continue
-        if best_total is None or total > best_total:
-            best_total = total
-            best_options = options
+        else:
+            if best_total is None or total > best_total:
+                best_total = total
+                best_options = options
 
     if best_options is None:
         raise PlanningError("centralized search found no feasible assignment")
 
-    decisions = {}
-    per_user_qoe = {}
-    for view, option in zip(views, best_options):
-        per_user_qoe[view.user_id] = option.result.best_qoe
-        first = option.result.first_bitrate_idx
-        if option.handoff_chunk == 1:
-            decisions[view.user_id] = Decision(first, option.satellite, True)
-        else:
-            decisions[view.user_id] = Decision(first, view.current_satellite, False)
-    return CentralizedDecision(
-        decisions=decisions, objective=best_total, per_user_qoe=per_user_qoe
-    )
+    return {
+        view.user_id: option.decision(view.current_satellite)
+        for view, option in zip(views, best_options)
+    }
 
 
 class CentralizedCoordinator:
@@ -648,8 +590,7 @@ class CentralizedCoordinator:
         ]
         if not views:
             raise PlanningError("no active users to plan for")
-        result = centralized_mpc_decide(views, self.video, self.cfg, self._memo)
-        decision = result.decisions[uid]
+        decision = centralized_mpc_decide(views, self.video, self.cfg, self._memo)[uid]
         if decision.handoff_now:
             self._user(uid).record_handoff(states[uid])
         return decision

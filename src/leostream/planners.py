@@ -385,6 +385,12 @@ class PlanOption:
             self.result.first_bitrate_idx,
         )
 
+    def decision(self, current: int) -> Decision:
+        """The plan's first chunk: a handoff only when the plan hands off at h = 1."""
+        if self.handoff_chunk == 1:
+            return Decision(self.result.first_bitrate_idx, self.satellite, True)
+        return Decision(self.result.first_bitrate_idx, current, False)
+
 
 def handoff_options(
     stay: PlanInstance, target: int, target_link: RateSeries, solve
@@ -626,15 +632,14 @@ class JointMpcController(_PredictingController):
             return Decision(0, fallback, fallback != cur)
 
         best = max(options, key=PlanOption.rank)
-        res, sat, h = best.result, best.satellite, best.handoff_chunk
-        stats.best_qoe = res.best_qoe
-        stats.target_satellite = sat
-        stats.handoff_chunk = h
-        if h == 1 and sat != cur:
+        stats.best_qoe = best.result.best_qoe
+        stats.target_satellite = best.satellite
+        stats.handoff_chunk = best.handoff_chunk
+        decision = best.decision(cur)
+        if decision.handoff_now:
             stats.chose_handoff = True
             self.record_handoff(state)
-            return Decision(res.first_bitrate_idx, sat, True)
-        return Decision(res.first_bitrate_idx, cur, False)
+        return decision
 
 
 class SeparateController(_PredictingController):

@@ -375,8 +375,8 @@ def validate_decision(state: PlayerState, decision: Decision, video: VideoSpec) 
         raise SimulationError("session already complete")
     if not 0 <= decision.bitrate_idx < len(video.bitrate_ladder_mbps):
         raise SimulationError(f"bitrate index {decision.bitrate_idx} off the ladder")
-    if decision.handoff_now and decision.target_satellite == state.current_satellite:
-        raise SimulationError("handoff_now requires a different target satellite")
+    if decision.handoff_now != (decision.target_satellite != state.current_satellite):
+        raise SimulationError("handoff_now must be set exactly when the satellite changes")
 
 
 def apply_chunk(

@@ -157,6 +157,20 @@ def test_config_rejects_nan_trace_generation_setting(tmp_path, name):
     assert not (tmp_path / "o").exists()
 
 
+def test_config_rejects_trace_generate_seed(tmp_path):
+    # Each repetition's trace seed is seed_base + rep, so a generate-block
+    # seed would be silently ignored.
+    data = _config_dict()
+    data["trace"]["generate"]["seed"] = 7
+    with pytest.raises(ConfigError, match="trace.generate.seed.*seed_base or --seed"):
+        config_from_dict(data)
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(data))
+    assert main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    assert main(["gen-traces", "--config", str(cfg_path), "--out", str(tmp_path / "t")]) == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("path, value", [
     (("video", "n_chunks"), 2.5),
     (("horizon",), 2.7),

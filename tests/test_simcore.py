@@ -305,6 +305,14 @@ def test_step_chunk_validates_decision(video, sim_cfg):
         step_chunk(_state(5.0, sat=0), Decision(0, 0, True), trace, video, sim_cfg)
 
 
+def test_step_chunk_rejects_satellite_switch_without_handoff(video, sim_cfg):
+    # Moving to another satellite must pay the handoff delay and count as a
+    # handoff; a decision that skips handoff_now is an error, not a free move.
+    trace = make_flat_trace([10.0, 10.0], duration_s=120.0)
+    with pytest.raises(SimulationError, match="handoff_now"):
+        step_chunk(_state(5.0, sat=0), Decision(1, 1, False), trace, video, sim_cfg)
+
+
 def test_first_chunk_has_no_smoothness_penalty(video, sim_cfg):
     trace = make_flat_trace([10.0], duration_s=120.0)
     state = _state(0.0, chunk_index=0, last_idx=0, wallclock=0.0)

@@ -1,7 +1,11 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leostream.traces import (
     PassGeometry,
@@ -245,6 +249,38 @@ def test_roundtrip_with_obstructions(tmp_path):
     path = tmp_path / "trace.csv"
     write_trace(obstructed, path)
     assert read_trace(path) == obstructed
+
+
+@st.composite
+def _generated_traces(draw):
+    """1-3 satellite traces over the sample steps a config may use, noisy
+    or noiseless, with up to two obstruction windows (short ones and
+    flagged ones of 10 s or more)."""
+    noisy = draw(st.booleans())
+    cfg = TraceGenConfig(
+        n_satellites=draw(st.integers(1, 3)),
+        sample_dt=draw(st.sampled_from((0.1, 0.25, 0.5, 1.0, 2.0))),
+        duration_s=draw(st.sampled_from((20.0, 60.0, 150.0))),
+        noise_mean=-2.0 if noisy else 0.0,
+        noise_std=1.0 if noisy else 0.0,
+        seed=draw(st.integers(0, 10_000)),
+    )
+    trace = gen_trace_set(cfg)
+    windows = []
+    for _ in range(draw(st.integers(0, 2))):
+        begin = draw(st.floats(0.0, cfg.duration_s - 1.0))
+        end = min(cfg.duration_s, begin + draw(st.sampled_from((1.0, 4.5, 10.0, 25.0))))
+        windows.append((draw(st.sampled_from(trace.sat_ids)), begin, end))
+    return inject_obstructions(trace, windows) if windows else trace
+
+
+@settings(max_examples=100)
+@given(_generated_traces())
+def test_roundtrip_property(trace):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        write_trace(trace, path)
+        assert read_trace(path) == trace
 
 
 def test_read_rejects_negative_throughput(tmp_path):
