@@ -159,36 +159,28 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             "trace.generate.seed is not used: each repetition's trace seed is "
             "seed_base + repetition; set seed_base or --seed instead"
         )
-    user_counts = data.get("user_counts", (1,))
+    user_counts = data.get("user_counts", [])
     if not isinstance(user_counts, list | tuple) or not all(map(_is_integer, user_counts)):
         raise ConfigError(f"user_counts must be a list of integers, got {user_counts!r}")
+    if not isinstance(data.get("dump_candidates", False), bool):
+        raise ConfigError(
+            f"dump_candidates must be true or false, got {data['dump_candidates']!r}"
+        )
+    # Only the keys the file sets: ExperimentConfig holds the defaults.
+    settings = {k: v for k, v in data.items() if k not in ("trace", "video", "sim")}
     try:
-        gen_cfg = None
-        load = None
+        for key in ("controllers", "user_counts"):
+            if key in settings:
+                settings[key] = tuple(settings[key])
         if "generate" in trace:
-            gen_cfg = TraceGenConfig(**trace["generate"])
+            settings["trace_generate"] = TraceGenConfig(**trace["generate"])
         if "load" in trace:
-            load = trace["load"]
+            settings["trace_load"] = trace["load"]
         video_data = dict(data.get("video", {}))
         if "ladder" in video_data:
             video_data["bitrate_ladder_mbps"] = _parse_ladder(video_data.pop("ladder"))
-        video = VideoSpec(**video_data)
-        sim = SimConfig(**data.get("sim", {}))
         return ExperimentConfig(
-            trace_generate=gen_cfg,
-            trace_load=load,
-            video=video,
-            sim=sim,
-            controllers=tuple(data.get("controllers", ("separate:mb", "joint:dual"))),
-            predictor=data.get("predictor", "robust"),
-            user_counts=tuple(user_counts),
-            background_users=data.get("background_users", 0),
-            repetitions=data.get("repetitions", 1),
-            seed_base=data.get("seed_base", 0),
-            out_dir=data.get("out_dir", "results"),
-            horizon=data.get("horizon", 5),
-            jobs=data.get("jobs", 1),
-            dump_candidates=bool(data.get("dump_candidates", False)),
+            video=VideoSpec(**video_data), sim=SimConfig(**data.get("sim", {})), **settings
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad experiment config: {exc}") from exc

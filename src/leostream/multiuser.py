@@ -15,7 +15,7 @@ import itertools
 import math
 import time as _time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .planners import (
     UserPlanView,
     f_sat_dpmpc,
     handoff_options,
-    select_candidates,
 )
 from .simcore import (
     Decision,
@@ -134,10 +133,11 @@ class MultiUserResult:
 
 
 class _User:
-    # A decision fixes request_t (wallclock, plus the handoff delay on a
-    # handoff) and transfer_pos (request_t + RTT) before the transfer starts.
+    # A user in "decide" decides at its state's wallclock. The decision fixes
+    # request_t (wallclock, plus the handoff delay on a handoff) and
+    # transfer_pos (request_t + RTT) before the transfer starts.
     __slots__ = (
-        "uid", "controller", "state", "phase", "ready_t", "request_t",
+        "uid", "controller", "state", "phase", "request_t",
         "transfer_pos", "transfer_remaining", "decision", "outcomes",
         "decisions", "latencies",
     )
@@ -147,7 +147,6 @@ class _User:
         self.controller = controller
         self.state = state
         self.phase = "decide"
-        self.ready_t = 0.0
         self.request_t = 0.0
         self.transfer_pos = 0.0
         self.transfer_remaining = 0.0
@@ -229,14 +228,13 @@ def simulate_multi(
             user.phase = "done"
         else:
             user.phase = "decide"
-            user.ready_t = new_state.wallclock_s
 
     def cascade(now: float) -> None:
         changed = True
         while changed:
             changed = False
             for user in users:
-                if user.phase == "decide" and user.ready_t <= now:
+                if user.phase == "decide" and user.state.wallclock_s <= now:
                     try:
                         decision = _decide(user, users, trace)
                         simcore.validate_decision(user.state, decision, video)
@@ -327,8 +325,8 @@ def simulate_multi(
             f for f in finish_of.values() if f < math.inf
         )
         for user in users:
-            if user.phase == "decide" and user.ready_t > now:
-                next_candidates.append(user.ready_t)
+            if user.phase == "decide" and user.state.wallclock_s > now:
+                next_candidates.append(user.state.wallclock_s)
             elif user.phase == "prep" and user.transfer_pos > now:
                 next_candidates.append(user.transfer_pos)
 
@@ -449,40 +447,27 @@ class DpMemo:
 
 
 def _best_option(
-    view: UserPlanView,
-    target: int,
-    scale_cur: float,
-    scale_target: float,
-    video: VideoSpec,
-    cfg: SimConfig,
-    solve,
+    view: UserPlanView, target: int, scale_cur: float, scale_target: float, solve
 ) -> PlanOption:
     """Best option for one user given a target satellite assignment."""
-    stay = view.stay_instance(
-        view.links[view.current_satellite].scaled(scale_cur), video, cfg
-    )
+    stay = replace(view.stay, current_link=view.stay.current_link.scaled(scale_cur))
     if target == view.current_satellite:
         return PlanOption(target, None, solve(stay))
-    options = handoff_options(
-        stay, target, view.links[target].scaled(scale_target), solve
-    )
+    options = handoff_options(stay, target, view.targets[target].scaled(scale_target), solve)
     if not options:
         raise simcore.UnboundedDownloadError("no feasible handoff plan")
     return max(options, key=PlanOption.rank)
 
 
 def centralized_mpc_decide(
-    views: list[UserPlanView],
-    video: VideoSpec,
-    cfg: SimConfig,
-    memo: DpMemo | None = None,
+    views: list[UserPlanView], memo: DpMemo | None = None
 ) -> dict[int, Decision]:
     """Joint assignment search maximizing the sum of horizon QoEs; returns
     each user's Decision by user id.
 
-    Each user's candidates are its current satellite and the
-    best-predicted runner-up; predicted throughput on a satellite is
-    split equally among the users assigned to it within the horizon.
+    Each user's candidates are its current satellite and its view's
+    targets; predicted throughput on a satellite is split equally among
+    the users assigned to it within the horizon.
     Identical instances are solved once through memo, a fresh DpMemo by
     default; a memo passed in carries this call's solves to the next.
     """
@@ -492,12 +477,7 @@ def centralized_mpc_decide(
         )
     memo = DpMemo() if memo is None else memo
     memo.retire()
-    candidate_lists = [
-        [view.current_satellite] + select_candidates(
-            "dual", view.visible, view.scalars, view.current_satellite, view.previous_satellite
-        )
-        for view in views
-    ]
+    candidate_lists = [[view.current_satellite, *view.targets] for view in views]
 
     # Everyone rides their current satellite until their handoff point,
     # so pre-handoff shares are counted by current satellite while
@@ -514,9 +494,7 @@ def centralized_mpc_decide(
             scale_cur = 1.0 / current_counts[view.current_satellite]
             scale_target = 1.0 / target_counts[target]
             try:
-                option = _best_option(
-                    view, target, scale_cur, scale_target, video, cfg, memo.solve
-                )
+                option = _best_option(view, target, scale_cur, scale_target, memo.solve)
             except simcore.UnboundedDownloadError:
                 break  # an infeasible assignment
             total += option.result.best_qoe
@@ -590,7 +568,7 @@ class CentralizedCoordinator:
         ]
         if not views:
             raise PlanningError("no active users to plan for")
-        decision = centralized_mpc_decide(views, self.video, self.cfg, self._memo)[uid]
+        decision = centralized_mpc_decide(views, self._memo)[uid]
         if decision.handoff_now:
             self._user(uid).record_handoff(states[uid])
         return decision

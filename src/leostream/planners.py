@@ -73,9 +73,29 @@ class PlanInstance:
 @dataclass
 class PlanResult:
     best_qoe: float
-    first_bitrate_idx: int
     full_bitrate_plan: tuple[int, ...]
     states_visited: int | None = None
+
+    @property
+    def first_bitrate_idx(self) -> int:
+        return self.full_bitrate_plan[0]
+
+
+def stay_instance(
+    state: PlayerState, horizon: int, link: RateSeries, video: VideoSpec, cfg: SimConfig
+) -> PlanInstance:
+    """The no-handoff instance from state on link; handoff_options derives the rest."""
+    return PlanInstance(
+        horizon=horizon,
+        buffer_s=state.buffer_s,
+        last_bitrate_idx=state.last_bitrate_idx,
+        start_t=state.wallclock_s,
+        handoff_chunk=None,
+        current_link=link,
+        target_link=None,
+        video=video,
+        sim=cfg,
+    )
 
 
 def _chunk_wait(inst: PlanInstance, n: int, t: float, rate_idx: int) -> float:
@@ -207,7 +227,7 @@ def _plan_exhaustive(inst: PlanInstance) -> PlanResult:
     walk(1, inst.start_t, inst.buffer_s, inst.last_bitrate_idx, 0.0)
     if best_plan is None:
         raise UnboundedDownloadError("all horizon plans are unbounded")
-    return PlanResult(best_q, best_plan[0], best_plan, states_visited=visited)
+    return PlanResult(best_q, best_plan, states_visited=visited)
 
 
 def f_mpc(inst: PlanInstance) -> PlanResult:
@@ -263,7 +283,7 @@ def f_sat_dpmpc(inst: PlanInstance) -> PlanResult:
     best_q = max(v[0] for v in stage.values())
     tied = [key for key, v in stage.items() if v[0] == best_q]
     best_plan = max(_reconstruct(stages, key) for key in tied)
-    return PlanResult(best_q, best_plan[0], best_plan, states_visited=visited)
+    return PlanResult(best_q, best_plan, states_visited=visited)
 
 
 def _reconstruct(stages: list[dict], final_key) -> tuple[int, ...]:
@@ -337,35 +357,17 @@ def baseline_handoff(
 
 @dataclass
 class UserPlanView:
-    """One user's planning inputs at a chunk boundary: the joint controller
-    plans from one, and the centralized coordinator gathers one per user.
-    previous_satellite is the satellite the dual rule may not hand back to.
+    """One user's planning inputs at a chunk boundary: the stay instance on
+    the current satellite's predicted link, and the predicted link of each
+    handoff candidate the controller's rule admits, in the rule's order.
+    The joint controller plans from one, and the centralized coordinator
+    gathers one per user.
     """
 
     user_id: int
-    buffer_s: float
-    last_bitrate_idx: int
-    start_t: float
     current_satellite: int
-    previous_satellite: int | None
-    links: dict[int, RateSeries]
-    scalars: dict[int, float]
-    visible: list[int]
-    horizon: int
-
-    def stay_instance(self, link: RateSeries, video: VideoSpec, cfg: SimConfig) -> PlanInstance:
-        """The no-handoff instance on link; handoff_options derives the rest."""
-        return PlanInstance(
-            horizon=self.horizon,
-            buffer_s=self.buffer_s,
-            last_bitrate_idx=self.last_bitrate_idx,
-            start_t=self.start_t,
-            handoff_chunk=None,
-            current_link=link,
-            target_link=None,
-            video=video,
-            sim=cfg,
-        )
+    stay: PlanInstance
+    targets: dict[int, RateSeries]
 
 
 @dataclass(frozen=True)
@@ -412,10 +414,7 @@ def handoff_options(
 @dataclass
 class DecisionStats:
     inner_calls: int = 0
-    best_qoe: float = NEG_INF
-    chose_handoff: bool = False
-    target_satellite: int | None = None
-    handoff_chunk: int | None = None
+    chosen: PlanOption | None = None
 
 
 class _PredictingController:
@@ -429,6 +428,7 @@ class _PredictingController:
         self.predictor = predictor
         self.horizon = horizon
         self.bank = PredictorBank() if predictor == "robust" else None
+        self.last_stats = DecisionStats()
 
     def observe_start(self, trace: TraceSet, state: PlayerState) -> None:
         if self.bank is not None:
@@ -553,7 +553,6 @@ class JointMpcController(_PredictingController):
         self._last_handoff_chunk: int | None = None
         self.dump_candidates = dump_candidates
         self.candidate_rows: list[tuple[int, int, int | None, float]] = []
-        self.last_stats = DecisionStats()
 
     def record_handoff(self, state: PlayerState) -> None:
         """Note a handoff away from state's satellite, decided at its chunk."""
@@ -563,8 +562,9 @@ class JointMpcController(_PredictingController):
     def plan_view(
         self, state: PlayerState, trace: TraceSet, visible: list[int], user_id: int = 0
     ) -> UserPlanView:
-        """This user's planning inputs: the no-bounce-back exclusion, and
-        predictions for every visible satellite and the current one."""
+        """This user's planning inputs: predictions for every visible
+        satellite and the current one, and the handoff candidates that
+        self.mode admits after the no-bounce-back exclusion."""
         # The exclusion only guards against an immediate return: it lapses
         # once the satellite we left has set, or one full horizon after the
         # handoff. A permanent exclusion would strand the planner on a
@@ -576,45 +576,36 @@ class JointMpcController(_PredictingController):
         ):
             self.previous_satellite = None
         chunks = min(self.horizon, self.video.n_chunks - state.chunk_index)
-        t = state.wallclock_s
+        cur = state.current_satellite
         links, scalars = self._predictions(
-            trace, t, sorted(set(visible) | {state.current_satellite}), chunks
+            trace, state.wallclock_s, sorted(set(visible) | {cur}), chunks
         )
+        candidates = select_candidates(self.mode, visible, scalars, cur, self.previous_satellite)
         return UserPlanView(
             user_id=user_id,
-            buffer_s=state.buffer_s,
-            last_bitrate_idx=state.last_bitrate_idx,
-            start_t=t,
-            current_satellite=state.current_satellite,
-            previous_satellite=self.previous_satellite,
-            links=links,
-            scalars=scalars,
-            visible=visible,
-            horizon=chunks,
+            current_satellite=cur,
+            stay=stay_instance(state, chunks, links[cur], self.video, self.cfg),
+            targets={sat: links[sat] for sat in candidates},
         )
 
     def decide(self, state: PlayerState, trace: TraceSet) -> Decision:
         t = state.wallclock_s
         cur = state.current_satellite
-        stats = DecisionStats()
-        self.last_stats = stats
+        stats = self.last_stats = DecisionStats()
         visible = self._visible(trace, t)
         if not visible:
             return Decision(0, cur, False)
         view = self.plan_view(state, trace, visible)
-        stay = view.stay_instance(view.links[cur], self.video, self.cfg)
+        stay = view.stay
 
         options = []
         try:
             options.append(PlanOption(cur, None, f_sat_dpmpc(stay)))
         except UnboundedDownloadError:
             pass
-        candidates = select_candidates(
-            self.mode, visible, view.scalars, cur, view.previous_satellite
-        )
-        stats.inner_calls = 1 + len(candidates) * view.horizon
-        for cand in candidates:
-            found = handoff_options(stay, cand, view.links[cand], f_sat_dpmpc)
+        stats.inner_calls = 1 + len(view.targets) * stay.horizon
+        for cand, link in view.targets.items():
+            found = handoff_options(stay, cand, link, f_sat_dpmpc)
             options += found
             if self.dump_candidates:
                 self.candidate_rows += [
@@ -631,13 +622,9 @@ class JointMpcController(_PredictingController):
             )
             return Decision(0, fallback, fallback != cur)
 
-        best = max(options, key=PlanOption.rank)
-        stats.best_qoe = best.result.best_qoe
-        stats.target_satellite = best.satellite
-        stats.handoff_chunk = best.handoff_chunk
-        decision = best.decision(cur)
+        stats.chosen = max(options, key=PlanOption.rank)
+        decision = stats.chosen.decision(cur)
         if decision.handoff_now:
-            stats.chose_handoff = True
             self.record_handoff(state)
         return decision
 
@@ -657,7 +644,6 @@ class SeparateController(_PredictingController):
         if strategy not in ("mvt", "mrss", "mb"):
             raise PlanningError(f"unknown handoff strategy {strategy!r}")
         self.strategy = strategy
-        self.last_stats = DecisionStats()
 
     def decide(self, state: PlayerState, trace: TraceSet) -> Decision:
         t = state.wallclock_s
@@ -667,27 +653,14 @@ class SeparateController(_PredictingController):
         )
         chunks = min(self.horizon, self.video.n_chunks - state.chunk_index)
         links, _ = self._predictions(trace, t, [sat], chunks)
-        inst = PlanInstance(
-            horizon=chunks,
-            buffer_s=state.buffer_s,
-            last_bitrate_idx=state.last_bitrate_idx,
-            start_t=t,
-            handoff_chunk=None,
-            current_link=links[sat],
-            target_link=None,
-            video=self.video,
-            sim=self.cfg,
-        )
-        stats = DecisionStats(inner_calls=1)
-        self.last_stats = stats
+        stats = self.last_stats = DecisionStats(inner_calls=1)
         try:
-            res = f_mpc(inst)
+            res = f_mpc(stay_instance(state, chunks, links[sat], self.video, self.cfg))
         except UnboundedDownloadError:
             return Decision(0, sat, sat != cur)
-        stats.best_qoe = res.best_qoe
-        stats.target_satellite = sat
-        stats.chose_handoff = sat != cur
-        return Decision(res.first_bitrate_idx, sat, sat != cur)
+        # The rule switches satellites before the first chunk, if at all.
+        stats.chosen = PlanOption(sat, None if sat == cur else 1, res)
+        return stats.chosen.decision(cur)
 
 
 def offline_optimal_plan(

@@ -126,6 +126,9 @@ def test_cli_config_error_exit_code(tmp_path):
     ("repetiton", 5),
     ("dp_dt", 0.5),
     ("trace.lod", "traces"),
+    # Not read as a truth value: "false" would turn dumping on.
+    ("dump_candidates", "false"),
+    ("dump_candidates", 1),
 ])
 def test_config_rejects_bad_planner_settings(tmp_path, field, value):
     # A dotted field names a key inside a block of the config.

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -18,7 +19,13 @@ from leostream.multiuser import (
     make_background_profile,
     simulate_multi,
 )
-from leostream.planners import JointMpcController, PlanningError, SeparateController
+from leostream.planners import (
+    JointMpcController,
+    PlanningError,
+    SeparateController,
+    select_candidates,
+    stay_instance,
+)
 from leostream.simcore import (
     DEFAULT_LADDER_MBPS,
     EXTENDED_LADDER_MBPS,
@@ -279,17 +286,16 @@ def test_event_loop_iteration_budget(video, sim_cfg, monkeypatch):
 
 
 def _view(uid, links, scalars, cur, video, horizon=5, buffer_s=6.0, last_idx=2, t=0.0):
+    """A joint:dual view on constant links, planned with the default SimConfig."""
+    series = {s: RateSeries.constant(v) for s, v in links.items()}
+    state = PlayerState(0, t, buffer_s, last_idx, cur)
     return UserPlanView(
         user_id=uid,
-        buffer_s=buffer_s,
-        last_bitrate_idx=last_idx,
-        start_t=t,
         current_satellite=cur,
-        previous_satellite=None,
-        links={s: RateSeries.constant(v) for s, v in links.items()},
-        scalars=scalars,
-        visible=sorted(links),
-        horizon=horizon,
+        stay=stay_instance(state, horizon, series[cur], video, SimConfig()),
+        targets={
+            s: series[s] for s in select_candidates("dual", sorted(links), scalars, cur, None)
+        },
     )
 
 
@@ -338,9 +344,21 @@ def test_centralized_splits_crowded_satellite(video, sim_cfg):
         _view(0, links, scalars, cur=0, video=video, buffer_s=1.0),
         _view(1, links, scalars, cur=0, video=video, buffer_s=1.0),
     ]
-    decisions = centralized_mpc_decide(views, video, sim_cfg)
+    decisions = centralized_mpc_decide(views)
     targets = {uid: d.target_satellite if d.handoff_now else 0 for uid, d in decisions.items()}
     assert sorted(targets.values()) == [0, 1]
+
+
+def test_centralized_assigns_only_view_targets():
+    # Satellite 1 is far faster, but user 0's controller admitted no
+    # handoff candidate, so only user 1 may move there.
+    video = VideoSpec()
+    links = {0: 0.5, 1: 10.0}
+    views = [_view(uid, links, dict(links), cur=0, video=video, buffer_s=1.0) for uid in (0, 1)]
+    views[0] = dataclasses.replace(views[0], targets={})
+    decisions = centralized_mpc_decide(views)
+    assert decisions[0] == Decision(decisions[0].bitrate_idx, 0, False)
+    assert decisions[1].handoff_now and decisions[1].target_satellite == 1
 
 
 @pytest.mark.parametrize("seed, obstructions", [
@@ -431,7 +449,7 @@ def test_centralized_user_cap(video, sim_cfg):
     links = {0: 4.0}
     views = [_view(i, links, dict(links), cur=0, video=video) for i in range(4)]
     with pytest.raises(PlanningError):
-        centralized_mpc_decide(views, video, sim_cfg)
+        centralized_mpc_decide(views)
 
 
 def test_centralized_dominates_independent_two_user_oracle(video, sim_cfg):
@@ -545,7 +563,7 @@ def test_memo_replays_unbounded_outcomes_and_keeps_one_call(video, sim_cfg, monk
     monkeypatch.setattr(multiuser, "f_sat_dpmpc", unbounded)
     memo = multiuser.DpMemo()
     view = _view(0, {0: 4.0}, {0: 4.0}, cur=0, video=video)
-    inst = view.stay_instance(view.links[0], video, sim_cfg)
+    inst = view.stay
     for _ in range(3):
         with pytest.raises(UnboundedDownloadError, match="unbounded"):
             memo.solve(inst)
@@ -553,7 +571,7 @@ def test_memo_replays_unbounded_outcomes_and_keeps_one_call(video, sim_cfg, monk
 
     # A call keeps what it touched; the call after it drops what it did not.
     memo.retire()
-    other = view.stay_instance(RateSeries.constant(2.0), video, sim_cfg)
+    other = dataclasses.replace(view.stay, current_link=RateSeries.constant(2.0))
     with pytest.raises(UnboundedDownloadError):
         memo.solve(other)
     memo.retire()

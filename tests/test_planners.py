@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from leostream import planners
+from leostream.harness import build_controller
 from leostream.planners import (
     JointMpcController,
     PlanInstance,
@@ -476,6 +477,43 @@ def test_joint_controller_degraded_mode_no_visible(video, sim_cfg):
                         last_bitrate_idx=1, current_satellite=0)
     decision = ctrl.decide(state, trace)
     assert decision == Decision(0, 0, False)
+
+
+class _CheckedChoice:
+    """Runs a controller and checks that each decision is its chosen
+    option's first chunk."""
+
+    def __init__(self, ctrl):
+        self.ctrl = ctrl
+
+    def __getattr__(self, name):
+        return getattr(self.ctrl, name)
+
+    def decide(self, state, trace):
+        decision = self.ctrl.decide(state, trace)
+        assert self.ctrl.last_stats.chosen.decision(state.current_satellite) == decision
+        return decision
+
+
+@pytest.mark.parametrize("name", ["joint:dual", "joint:manifold", "separate:mb"])
+def test_chosen_option_gives_the_decision(name, video, sim_cfg):
+    trace = suite_trace(1)  # every controller here hands off once on it
+    ctrl = build_controller(name, video, sim_cfg, "robust", 5)
+    result = run_session(trace, _CheckedChoice(ctrl), video, sim_cfg)
+    assert len(result.decisions) == video.n_chunks
+    assert any(d.handoff_now for d in result.decisions)
+
+
+@pytest.mark.parametrize("name", ["joint:dual", "joint:manifold", "separate:mb"])
+def test_no_chosen_option_when_every_plan_is_unbounded(name, video, sim_cfg):
+    # The oracle sees zero throughput to the end of the trace on both
+    # satellites, so every plan's download is unbounded.
+    trace = make_flat_trace([0.0, 0.0], duration_s=60.0)
+    ctrl = build_controller(name, video, sim_cfg, "oracle", 5)
+    state = initial_state(trace, video, sim_cfg)
+    ctrl.observe_start(trace, state)
+    assert ctrl.decide(state, trace) == Decision(0, 0, False)
+    assert ctrl.last_stats.chosen is None
 
 
 def test_joint_decide_deterministic(video, sim_cfg):
