@@ -85,8 +85,6 @@ def _load_experiment(args) -> ExperimentConfig:
         overrides["user_counts"] = (args.users,)
     if getattr(args, "dump_candidates", False):
         overrides["dump_candidates"] = True
-    out = _resolve_out(args)
-    overrides["out_dir"] = str(out)
     return dataclasses.replace(exp, **overrides)
 
 
@@ -95,7 +93,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "gen-traces":
             exp = _load_experiment(args)
-            paths = harness.gen_traces(exp, exp.out_dir)
+            paths = harness.gen_traces(exp, _resolve_out(args))
             for path in paths:
                 print(path)
             return EXIT_OK
@@ -103,7 +101,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             exp = _load_experiment(args)
             output = harness.run_experiment(exp)
-            files = harness.write_results(exp.out_dir, output)
+            files = harness.write_results(_resolve_out(args), output)
             print(f"wrote {files['csv']} ({len(output.rows)} rows)")
             for key, err in sorted(output.failures.items()):
                 print(f"cell failed: {key}: {err}", file=sys.stderr)
@@ -111,8 +109,7 @@ def main(argv=None) -> int:
 
         if args.command == "compare":
             summary = harness.compare_results(args.results)
-            out = _resolve_out(args)
-            path = harness.write_summary(out, summary)
+            path = harness.write_summary(_resolve_out(args), summary)
             print(f"wrote {path}")
             for row in summary:
                 improvement = (

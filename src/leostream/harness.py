@@ -73,7 +73,6 @@ class ExperimentConfig:
     background_users: int = 0
     repetitions: int = 1
     seed_base: int = 0
-    out_dir: str = "results"
     horizon: int = 5
     jobs: int = 1
     dump_candidates: bool = False
@@ -399,17 +398,21 @@ def run_experiment(exp: ExperimentConfig) -> RunOutput:
     return RunOutput(rows=rows, failures=failures, candidate_rows=candidate_rows)
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    path.write_text(buf.getvalue(), encoding="utf-8")
+
+
 def write_results(out_dir: str | Path, output: RunOutput) -> dict[str, Path]:
     """Emit results.csv / results.json (payload) and timing.csv (wall clock)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     csv_path = out / "results.csv"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    writer.writerows(row.values() for row in output.rows)
-    csv_path.write_text(buf.getvalue(), encoding="utf-8")
+    _write_csv(csv_path, RESULT_COLUMNS, (row.values() for row in output.rows))
 
     json_path = out / "results.json"
     payload = {
@@ -421,24 +424,16 @@ def write_results(out_dir: str | Path, output: RunOutput) -> dict[str, Path]:
     )
 
     timing_path = out / "timing.csv"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(KEY_COLUMNS + ("mean_decision_ms",))
-    writer.writerows(
+    _write_csv(timing_path, KEY_COLUMNS + ("mean_decision_ms",), (
         row.values(KEY_COLUMNS) + [f"{row.mean_decision_ms:.6f}"] for row in output.rows
-    )
-    timing_path.write_text(buf.getvalue(), encoding="utf-8")
+    ))
 
     paths = {"csv": csv_path, "json": json_path, "timing": timing_path}
     if output.candidate_rows:
         cand_path = out / "candidates.csv"
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            KEY_COLUMNS + ("user", "chunk_index", "satellite", "handoff_point", "best_qoe")
-        )
-        writer.writerows(output.candidate_rows)
-        cand_path.write_text(buf.getvalue(), encoding="utf-8")
+        _write_csv(cand_path, KEY_COLUMNS + (
+            "user", "chunk_index", "satellite", "handoff_point", "best_qoe"
+        ), output.candidate_rows)
         paths["candidates"] = cand_path
     return paths
 
@@ -458,15 +453,21 @@ def gen_traces(exp: ExperimentConfig, out_dir: str | Path) -> list[Path]:
 
 
 def read_result_rows(path: str | Path) -> list[ResultRow]:
+    """The rows of a results.csv; a missing column or bad value is a ConfigError."""
     parse = {"controller": str, "predictor": str, "n_users": int, "trace_id": str, "seed": int}
     with Path(path).open(encoding="utf-8") as f:
-        return [
-            ResultRow(
-                *(parse.get(c, float)(rec[c]) for c in RESULT_COLUMNS),
-                mean_decision_ms=0.0,
-            )
-            for rec in csv.DictReader(f)
-        ]
+        reader = csv.DictReader(f)
+        missing = [c for c in RESULT_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ConfigError(f"{path} is not a results file: no {missing[0]!r} column")
+        rows = []
+        for rec in reader:
+            try:
+                values = [parse.get(c, float)(rec[c]) for c in RESULT_COLUMNS]
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{path}: line {reader.line_num}: {exc}") from None
+            rows.append(ResultRow(*values, mean_decision_ms=0.0))
+        return rows
 
 
 @dataclass
@@ -535,11 +536,8 @@ def write_summary(out_dir: str | Path, summary: list[SummaryRow]) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "summary.csv"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(f.name for f in dataclasses.fields(SummaryRow))
-    writer.writerows(dataclasses.astuple(row) for row in summary)
-    path.write_text(buf.getvalue(), encoding="utf-8")
+    _write_csv(path, [f.name for f in dataclasses.fields(SummaryRow)],
+               map(dataclasses.astuple, summary))
     return path
 
 

@@ -223,11 +223,12 @@ def simulate_multi(
         user.state = new_state
         user.outcomes.append(outcome)
         user.decisions.append(user.decision)
-        _observe_chunk(user, trace, outcome)
-        if new_state.chunk_index >= video.n_chunks:
-            user.phase = "done"
+        try:
+            _observe_chunk(user, trace, outcome)
+        except Exception as exc:
+            fail(user, exc)
         else:
-            user.phase = "decide"
+            user.phase = "done" if new_state.chunk_index >= video.n_chunks else "decide"
 
     def cascade(now: float) -> None:
         changed = True
@@ -554,9 +555,8 @@ class CentralizedCoordinator:
         self._user(uid).observe_chunk(trace, state, outcome)
 
     def _view(self, uid: int, state: PlayerState, trace: TraceSet) -> UserPlanView:
-        user = self._user(uid)
-        visible = user._visible(trace, state.wallclock_s)
-        return user.plan_view(state, trace, visible, user_id=uid)
+        visible = trace.visible_at(state.wallclock_s)
+        return self._user(uid).plan_view(state, trace, visible, user_id=uid)
 
     def decide_multi(
         self, uid: int, states: list[PlayerState], trace: TraceSet

@@ -326,11 +326,11 @@ def baseline_handoff(
     chunk_duration_s: float,
 ) -> int:
     """Separate-selection satellite rules: MVT, MRSS, or MB."""
+    visible = trace.visible_at(t)
     idx = trace.clamped_index(t)
-    t = idx * trace.sample_dt  # clamp queries to the trace
-    visible = trace.visible_at(idx)
+    t_q = idx * trace.sample_dt  # clamp queries to the trace
     if not visible:
-        raise PlanningError(f"no satellite visible at t={t:.3f}")
+        raise PlanningError(f"no satellite visible at t={t_q:.3f}")
 
     if strategy == "mrss":
         elev = {s: float(trace.track(s).elevation_deg[idx]) for s in visible}
@@ -341,7 +341,7 @@ def baseline_handoff(
     if strategy not in ("mvt", "mb"):
         raise PlanningError(f"unknown handoff strategy {strategy!r}")
     remaining = (
-        remaining_visible_time(trace, current_sat, t)
+        remaining_visible_time(trace, current_sat, t_q)
         if current_sat in trace.sat_ids
         else 0.0
     )
@@ -349,10 +349,9 @@ def baseline_handoff(
         return current_sat
     if strategy == "mvt":
         return min(
-            visible, key=lambda s: (-remaining_visible_time(trace, s, t), s)
+            visible, key=lambda s: (-remaining_visible_time(trace, s, t_q), s)
         )
-    thr = {s: float(trace.track(s).throughput_mbps[idx]) for s in visible}
-    return min(visible, key=lambda s: (-thr[s], s))
+    return trace.strongest_visible(t)
 
 
 @dataclass
@@ -450,9 +449,6 @@ class _PredictingController:
             serving_actual_mbps=realized,
         )
 
-    def _visible(self, trace: TraceSet, t: float) -> list[int]:
-        return trace.visible_at(trace.clamped_index(t))
-
     def _rank_window_s(self, chunks: int) -> float:
         return max(chunks, 1) * self.video.chunk_duration_s
 
@@ -511,10 +507,7 @@ class _PredictingController:
         if self.predictor == "robust":
             for sat in sats:
                 if not self.bank.has_history(sat):
-                    idx = trace.clamped_index(t)
-                    self.bank.record(
-                        sat, float(trace.track(sat).throughput_mbps[idx]), t
-                    )
+                    self.bank.record(sat, trace.rate_at(sat, t), t)
                 value = self.bank.predict(sat)
                 scalars[sat] = value
                 links[sat] = self._horizon_link(trace, t, sat, value)
@@ -592,7 +585,7 @@ class JointMpcController(_PredictingController):
         t = state.wallclock_s
         cur = state.current_satellite
         stats = self.last_stats = DecisionStats()
-        visible = self._visible(trace, t)
+        visible = trace.visible_at(t)
         if not visible:
             return Decision(0, cur, False)
         view = self.plan_view(state, trace, visible)
@@ -615,11 +608,7 @@ class JointMpcController(_PredictingController):
 
         if not options:
             # Every plan diverged: limp along on the strongest visible signal.
-            idx = trace.clamped_index(t)
-            fallback = min(
-                visible,
-                key=lambda s: (-float(trace.track(s).throughput_mbps[idx]), s),
-            )
+            fallback = trace.strongest_visible(t)
             return Decision(0, fallback, fallback != cur)
 
         stats.chosen = max(options, key=PlanOption.rank)

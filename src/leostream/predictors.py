@@ -135,14 +135,13 @@ class PredictorBank:
         sample (which reflects a fresh obstruction before the next chunk
         commits to it).
         """
-        idx = trace.clamped_index(t)
-        for tr in trace.tracks:
-            if not tr.visible[idx] and tr.sat_id != serving_sat:
-                continue
-            actual = float(tr.throughput_mbps[idx])
-            if tr.sat_id == serving_sat and serving_actual_mbps is not None:
-                actual = min(serving_actual_mbps, actual) if tr.visible[idx] else serving_actual_mbps
-            self.record(tr.sat_id, actual, t)
+        visible = trace.visible_at(t)
+        serving = [] if serving_sat is None or serving_sat in visible else [serving_sat]
+        for sat in visible + serving:
+            actual = trace.rate_at(sat, t)
+            if sat == serving_sat and serving_actual_mbps is not None:
+                actual = min(serving_actual_mbps, actual) if sat in visible else serving_actual_mbps
+            self.record(sat, actual, t)
 
     def has_history(self, sat_id: int) -> bool:
         return sat_id in self._history and len(self._history[sat_id]) > 0

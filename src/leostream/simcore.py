@@ -484,12 +484,7 @@ def qos(per_user_qoe) -> float:
 
 def initial_state(trace: TraceSet, video: VideoSpec, cfg: SimConfig) -> PlayerState:
     """Session start: empty buffer, lowest ladder entry, best visible satellite."""
-    best_sat = None
-    best_thr = -1.0
-    for tr in trace.tracks:
-        if tr.visible[0] and tr.throughput_mbps[0] > best_thr:
-            best_sat = tr.sat_id
-            best_thr = float(tr.throughput_mbps[0])
+    best_sat = trace.strongest_visible(0.0)
     if best_sat is None:
         raise SimulationError("no satellite visible at t=0")
     return PlayerState(

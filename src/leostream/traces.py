@@ -205,21 +205,26 @@ class TraceSet:
             raise TraceError(f"unknown satellite id {sat_id}")
         return self.tracks[row]
 
-    def visible_at(self, idx: int) -> list[int]:
-        """Ids visible at sample idx, in ascending id order."""
-        column = self.visibility[:, idx]
+    def clamped_index(self, t: float) -> int:
+        """The sample containing t, out-of-range times clamped to the ends."""
+        return max(0, min(int(t / self.sample_dt), self.n_samples - 1))
+
+    def visible_at(self, t: float) -> list[int]:
+        """Ids visible at the sample containing t, in ascending id order."""
+        column = self.visibility[:, self.clamped_index(t)]
         return sorted(sat for sat, row in self._rows.items() if column[row])
 
-    def sample_index(self, t: float) -> int:
-        if not 0.0 <= t < self.duration_s:
-            raise TraceError(
-                f"t={t} outside trace range [0, {self.duration_s})"
-            )
-        return min(int(t / self.sample_dt), self.n_samples - 1)
+    def rate_at(self, sat_id: int, t: float) -> float:
+        """The satellite's throughput at the sample containing t."""
+        return float(self.track(sat_id).throughput_mbps[self.clamped_index(t)])
 
-    def clamped_index(self, t: float) -> int:
-        """Sample index with out-of-range times clamped to the ends."""
-        return max(0, min(int(t / self.sample_dt), self.n_samples - 1))
+    def strongest_visible(self, t: float) -> int | None:
+        """The visible satellite with the highest rate at t, the lowest id on
+        ties; None when no satellite is visible."""
+        visible = self.visible_at(t)
+        if not visible:
+            return None
+        return min(visible, key=lambda sat: (-self.rate_at(sat, t), sat))
 
 
 def slant_range(pass_geom: PassGeometry, t: float) -> float:
@@ -407,11 +412,6 @@ def inject_obstructions(
     return TraceSet(sample_dt=trace.sample_dt, tracks=tuple(new_tracks), meta=meta)
 
 
-def visible_satellites(trace: TraceSet, t: float) -> list[int]:
-    """Ids visible at the sample containing t, in ascending id order."""
-    return trace.visible_at(trace.sample_index(t))
-
-
 def remaining_visible_time(trace: TraceSet, sat_id: int, t: float) -> float:
     """Seconds until the satellite's current visibility run ends.
 
@@ -419,7 +419,7 @@ def remaining_visible_time(trace: TraceSet, sat_id: int, t: float) -> float:
     the end of the trace (no known horizon exit).
     """
     tr = trace.track(sat_id)
-    idx = trace.sample_index(t)
+    idx = trace.clamped_index(t)
     if not tr.visible[idx]:
         return 0.0
     invisible_after = np.nonzero(~tr.visible[idx:])[0]

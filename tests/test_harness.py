@@ -355,6 +355,56 @@ def test_report_cli(tmp_path, capsys):
     assert "joint:dual" in out and "separate:mb" in out
 
 
+def test_config_out_dir_is_rejected(tmp_path, monkeypatch):
+    # The output directory comes from --out, LEOSTREAM_OUT or ./results; a
+    # config key naming one would be ignored.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("LEOSTREAM_OUT", raising=False)
+    with pytest.raises(ConfigError, match="unknown config key 'out_dir'"):
+        config_from_dict(_config_dict(out_dir="from_config"))
+    cfg_path = _write_config(tmp_path, out_dir="from_config")
+    assert main(["run", "--config", str(cfg_path)]) == 1
+    assert main(["gen-traces", "--config", str(cfg_path)]) == 1
+    assert not (tmp_path / "results").exists()
+    assert not (tmp_path / "from_config").exists()
+
+
+def _results_file_error(tmp_path, capsys, command, path):
+    """Run report or compare on path; return its exit code and stderr."""
+    args = [command, str(path)]
+    if command == "compare":
+        args += ["--out", str(tmp_path / "summary")]
+    code = main(args)
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["report", "compare"])
+def test_report_and_compare_reject_a_file_without_result_columns(tmp_path, capsys, command):
+    write_results(tmp_path / "res", RunOutput(rows=_rows_for_compare(), failures={}))
+    timing = tmp_path / "res" / "timing.csv"
+    code, err = _results_file_error(tmp_path, capsys, command, timing)
+    assert code == 1
+    assert err.count("\n") == 1
+    assert str(timing) in err and "'qoe_total'" in err
+    with pytest.raises(ConfigError, match="qoe_total"):
+        read_result_rows(timing)
+
+
+@pytest.mark.parametrize("command", ["report", "compare"])
+def test_report_and_compare_reject_an_unparsable_value(tmp_path, capsys, command):
+    write_results(tmp_path / "res", RunOutput(rows=_rows_for_compare(), failures={}))
+    path = tmp_path / "res" / "results.csv"
+    lines = path.read_text().splitlines()
+    fields = lines[2].split(",")
+    fields[lines[0].split(",").index("qoe_total")] = "abc"
+    lines[2] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    code, err = _results_file_error(tmp_path, capsys, command, path)
+    assert code == 1
+    assert err.count("\n") == 1
+    assert str(path) in err and "line 3" in err and "'abc'" in err
+
+
 def test_jobs_parallel_matches_serial(tmp_path):
     cfg_serial = config_from_dict(_config_dict())
     cfg_parallel = config_from_dict(_config_dict(jobs=2))

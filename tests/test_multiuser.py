@@ -277,6 +277,25 @@ def test_failed_observe_start_recorded_as_failed_user(video, sim_cfg):
     assert result.per_user[0] is not None and 0 not in result.failures
 
 
+def test_failed_observe_chunk_recorded_as_failed_user(video, sim_cfg):
+    trace = make_flat_trace([6.0], duration_s=200.0)
+
+    class BrokenUpdate(SeparateController):
+        def observe_chunk(self, trace, state, outcome):
+            raise RuntimeError("predictor update failed")
+
+    scenario = MultiUserScenario(
+        trace=trace,
+        controllers=[BrokenUpdate(video, sim_cfg), SeparateController(video, sim_cfg)],
+    )
+    result = simulate_multi(scenario, video, sim_cfg, seed=0)
+    assert list(result.failures) == [0]
+    assert "predictor update failed" in result.failures[0]
+    assert result.per_user[0] is None and len(result.decisions[0]) == 1
+    assert result.per_user[1] is not None
+    assert len(result.decisions[1]) == video.n_chunks
+
+
 def test_event_loop_iteration_budget(video, sim_cfg, monkeypatch):
     trace = make_flat_trace([6.0], duration_s=200.0)
     scenario = MultiUserScenario(trace=trace, controllers=[SeparateController(video, sim_cfg)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -25,6 +26,7 @@ from leostream.simcore import (
     settle_chunk,
     step_chunk,
 )
+from leostream.traces import TraceSet
 
 from conftest import make_flat_trace
 
@@ -430,6 +432,15 @@ def test_initial_state_picks_best_visible(video, sim_cfg):
     assert state.current_satellite == 1
     assert state.buffer_s == 0.0
     assert state.last_bitrate_idx == 0
+
+
+def test_initial_state_breaks_a_rate_tie_on_the_lowest_id(video, sim_cfg):
+    # Tracks out of id order: the tie goes to id 1, not to the first track.
+    flat = make_flat_trace([5.0, 5.0], duration_s=60.0)
+    trace = TraceSet(flat.sample_dt, tuple(
+        dataclasses.replace(tr, sat_id=sat) for tr, sat in zip(flat.tracks, (3, 1))
+    ))
+    assert initial_state(trace, video, sim_cfg).current_satellite == 1
 
 
 def test_session_json_nine_significant_digits(video, sim_cfg):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tempfile
 from pathlib import Path
@@ -21,7 +22,6 @@ from leostream.traces import (
     read_trace,
     remaining_visible_time,
     slant_range,
-    visible_satellites,
     write_trace,
 )
 
@@ -193,13 +193,12 @@ def test_visible_satellites_and_gaps():
     vis1 = np.zeros(60, dtype=bool)
     vis1[25:55] = True
     trace = make_flat_trace([5.0, 5.0], duration_s=60.0, visible=[vis0, vis1])
-    assert visible_satellites(trace, 10.0) == [0]
-    assert visible_satellites(trace, 27.0) == [0, 1]
-    assert visible_satellites(trace, 57.0) == []
-    with pytest.raises(TraceError):
-        visible_satellites(trace, 60.0)
-    with pytest.raises(TraceError):
-        visible_satellites(trace, -0.1)
+    assert trace.visible_at(10.0) == [0]
+    assert trace.visible_at(27.0) == [0, 1]
+    assert trace.visible_at(57.0) == []
+    # Out-of-range times clamp to the first and last sample.
+    assert trace.visible_at(60.0) == trace.visible_at(59.0) == []
+    assert trace.visible_at(-0.1) == trace.visible_at(0.0) == [0]
 
 
 def test_visibility_matrix_and_id_rows():
@@ -281,6 +280,58 @@ def test_roundtrip_property(trace):
         path = Path(tmp) / "trace.csv"
         write_trace(trace, path)
         assert read_trace(path) == trace
+
+
+@st.composite
+def _relabelled_traces(draw):
+    """Generated 1-3 satellite traces under distinct ids in any track order,
+    with rates floored to a drawn step so that visible rates tie exactly
+    (a huge step floors every visible rate to 0). Short, overlapping passes
+    keep several satellites visible at once."""
+    n = draw(st.integers(1, 3))
+    trace = gen_trace_set(TraceGenConfig(
+        n_satellites=n,
+        sample_dt=draw(st.floats(0.25, 2.0)),
+        duration_s=draw(st.sampled_from((60.0, 150.0))),
+        min_elevation_deg=45.0,
+        altitude_km=250.0,
+        seed=draw(st.integers(0, 10_000)),
+    ))
+    ids = draw(st.permutations(sorted(draw(
+        st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True)
+    ))))
+    step = draw(st.sampled_from((None, 0.5, 4.0, 1e9)))
+    tracks = tuple(
+        dataclasses.replace(
+            tr, sat_id=sat,
+            throughput_mbps=tr.throughput_mbps if step is None
+            else np.floor(tr.throughput_mbps / step) * step,
+        )
+        for tr, sat in zip(trace.tracks, ids)
+    )
+    return TraceSet(trace.sample_dt, tracks, trace.meta)
+
+
+@settings(max_examples=100)
+@given(_relabelled_traces(), st.data())
+def test_sample_queries_match_a_scan_of_the_tracks(trace, data):
+    n = trace.n_samples
+    for _ in range(8):
+        # A time inside sample k, up to three samples outside the trace.
+        k = data.draw(st.integers(-3, n + 2))
+        t = (k + data.draw(st.floats(0.01, 0.99))) * trace.sample_dt
+        i = min(max(k, 0), n - 1)
+        assert trace.clamped_index(t) == i
+        assert trace.visible_at(t) == sorted(tr.sat_id for tr in trace.tracks if tr.visible[i])
+        best = None
+        for tr in trace.tracks:
+            rate = tr.throughput_mbps[i]
+            assert trace.rate_at(tr.sat_id, t) == rate
+            if tr.visible[i] and (
+                best is None or (rate, -tr.sat_id) > (best.throughput_mbps[i], -best.sat_id)
+            ):
+                best = tr
+        assert trace.strongest_visible(t) == (None if best is None else best.sat_id)
 
 
 def test_read_rejects_negative_throughput(tmp_path):
