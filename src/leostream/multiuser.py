@@ -16,16 +16,16 @@ import math
 import time as _time
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from . import simcore
 from .planners import (
     JointMpcController,
-    PlanInstance,
     PlanningError,
     PlanOption,
-    PlanResult,
+    SolveMemo,
     UserPlanView,
     f_sat_dpmpc,
     handoff_options,
@@ -198,6 +198,12 @@ def simulate_multi(
         profile = make_background_profile(trace, scenario.n_background, seed)
 
     series = {tr.sat_id: RateSeries.for_satellite(trace, tr.sat_id) for tr in trace.tracks}
+    # One memo serves every planner of the scenario: users that decide at
+    # the same instant from the same state repeat each other's solves.
+    memo = SolveMemo()
+    for controller in scenario.controllers:
+        if hasattr(controller, "memo"):
+            controller.memo = memo
     users = []
     failures: dict[int, str] = {}
 
@@ -409,44 +415,6 @@ def result_json(result: MultiUserResult, include_share_events: bool = False) -> 
     return payload
 
 
-class DpMemo:
-    """f_sat_dpmpc outcomes keyed by PlanInstance value.
-
-    The multi-user model repeats instances: every user starts from the
-    same state, an assignment's stay solve does not depend on where the
-    others hand off to, and users deciding at the same instant re-plan
-    everyone from the same states. A solve is a pure function of its
-    instance, so a stored result, or a stored UnboundedDownloadError
-    raised again, is bit-identical to solving anew. retire() starts a
-    call: it keeps only the entries the previous call touched, so each
-    call sees exactly the previous call's solves, whether or not that call
-    raised.
-    """
-
-    __slots__ = ("_kept", "_touched")
-
-    def __init__(self):
-        self._kept: dict = {}
-        self._touched: dict = {}
-
-    def solve(self, inst: PlanInstance) -> PlanResult:
-        outcome = self._touched.get(inst)
-        if outcome is None:
-            outcome = self._kept.get(inst)
-            if outcome is None:
-                try:
-                    outcome = f_sat_dpmpc(inst)
-                except simcore.UnboundedDownloadError as exc:
-                    outcome = exc
-            self._touched[inst] = outcome
-        if isinstance(outcome, simcore.UnboundedDownloadError):
-            raise outcome.with_traceback(None)
-        return outcome
-
-    def retire(self) -> None:
-        self._kept, self._touched = self._touched, {}
-
-
 def _best_option(
     view: UserPlanView, target: int, scale_cur: float, scale_target: float, solve
 ) -> PlanOption:
@@ -461,7 +429,7 @@ def _best_option(
 
 
 def centralized_mpc_decide(
-    views: list[UserPlanView], memo: DpMemo | None = None
+    views: list[UserPlanView], memo: SolveMemo | None = None
 ) -> dict[int, Decision]:
     """Joint assignment search maximizing the sum of horizon QoEs; returns
     each user's Decision by user id.
@@ -469,15 +437,16 @@ def centralized_mpc_decide(
     Each user's candidates are its current satellite and its view's
     targets; predicted throughput on a satellite is split equally among
     the users assigned to it within the horizon.
-    Identical instances are solved once through memo, a fresh DpMemo by
-    default; a memo passed in carries this call's solves to the next.
+    Identical instances are solved once through memo, a fresh SolveMemo
+    by default; a memo passed in carries this call's solves to the next.
     """
     if len(views) > CENTRALIZED_USER_CAP:
         raise PlanningError(
             f"centralized search capped at {CENTRALIZED_USER_CAP} users, got {len(views)}"
         )
-    memo = DpMemo() if memo is None else memo
+    memo = SolveMemo() if memo is None else memo
     memo.retire()
+    solve = partial(memo.solve, f_sat_dpmpc)
     candidate_lists = [[view.current_satellite, *view.targets] for view in views]
 
     # Everyone rides their current satellite until their handoff point,
@@ -495,7 +464,7 @@ def centralized_mpc_decide(
             scale_cur = 1.0 / current_counts[view.current_satellite]
             scale_target = 1.0 / target_counts[target]
             try:
-                option = _best_option(view, target, scale_cur, scale_target, memo.solve)
+                option = _best_option(view, target, scale_cur, scale_target, solve)
             except simcore.UnboundedDownloadError:
                 break  # an infeasible assignment
             total += option.result.best_qoe
@@ -523,8 +492,13 @@ class CentralizedCoordinator:
     action (the others re-plan at their own boundaries). Each user's
     predictions, no-bounce-back exclusion and handoff record live in its
     own joint:dual controller, whose planning view the search reads.
-    The DP memo carries each call's solves to the next call, which reuses
-    them when users decide at the same instant.
+    Its memo carries each call's solves to the next call, which reuses
+    them when users decide at the same instant. simulate_multi replaces
+    it with the scenario's memo, the one that serves every planner: users
+    in lockstep (same controller, same state at the same instant) solve
+    each instance once. On the benchmark's contention workload that
+    sharing saves half of the separate:mb and joint:dual solves; its
+    one-user workloads share nothing.
     """
 
     def __init__(
@@ -539,7 +513,7 @@ class CentralizedCoordinator:
         self.horizon = horizon
         self.predictor = predictor
         self._users: dict[int, JointMpcController] = {}
-        self._memo = DpMemo()
+        self.memo = SolveMemo()
 
     def _user(self, uid: int) -> JointMpcController:
         if uid not in self._users:
@@ -568,7 +542,7 @@ class CentralizedCoordinator:
         ]
         if not views:
             raise PlanningError("no active users to plan for")
-        decision = centralized_mpc_decide(views, self._memo)[uid]
+        decision = centralized_mpc_decide(views, self.memo)[uid]
         if decision.handoff_now:
             self._user(uid).record_handoff(states[uid])
         return decision

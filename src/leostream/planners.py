@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -328,9 +329,8 @@ def baseline_handoff(
     """Separate-selection satellite rules: MVT, MRSS, or MB."""
     visible = trace.visible_at(t)
     idx = trace.clamped_index(t)
-    t_q = idx * trace.sample_dt  # clamp queries to the trace
     if not visible:
-        raise PlanningError(f"no satellite visible at t={t_q:.3f}")
+        raise PlanningError(f"no satellite visible at t={idx * trace.sample_dt:.3f}")
 
     if strategy == "mrss":
         elev = {s: float(trace.track(s).elevation_deg[idx]) for s in visible}
@@ -341,7 +341,7 @@ def baseline_handoff(
     if strategy not in ("mvt", "mb"):
         raise PlanningError(f"unknown handoff strategy {strategy!r}")
     remaining = (
-        remaining_visible_time(trace, current_sat, t_q)
+        remaining_visible_time(trace, current_sat, t)
         if current_sat in trace.sat_ids
         else 0.0
     )
@@ -349,7 +349,7 @@ def baseline_handoff(
         return current_sat
     if strategy == "mvt":
         return min(
-            visible, key=lambda s: (-remaining_visible_time(trace, s, t_q), s)
+            visible, key=lambda s: (-remaining_visible_time(trace, s, t), s)
         )
     return trace.strongest_visible(t)
 
@@ -410,6 +410,49 @@ def handoff_options(
     return options
 
 
+class SolveMemo:
+    """Solver outcomes keyed by (solver, PlanInstance value).
+
+    A solve is a pure function of its solver and instance, so a stored
+    result, or a stored UnboundedDownloadError raised again, is
+    bit-identical to solving anew; the solver in the key keeps exhaustive
+    and DP results apart. Callers pass the solver they read from their
+    module at call time, so a patched solver is the one that runs.
+    retire() starts a planning call: it keeps only the entries the
+    previous call touched, so each call sees exactly the previous call's
+    solves, whether or not that call raised.
+
+    Every controller plans through its memo. A single-user controller
+    keeps a private one; simulate_multi gives one fresh memo per scenario
+    to all its controllers, so users that decide at the same instant from
+    the same state (lockstep users) solve each instance once.
+    """
+
+    __slots__ = ("_kept", "_touched")
+
+    def __init__(self):
+        self._kept: dict = {}
+        self._touched: dict = {}
+
+    def solve(self, solver, inst: PlanInstance) -> PlanResult:
+        key = (solver, inst)
+        outcome = self._touched.get(key)
+        if outcome is None:
+            outcome = self._kept.get(key)
+            if outcome is None:
+                try:
+                    outcome = solver(inst)
+                except UnboundedDownloadError as exc:
+                    outcome = exc
+            self._touched[key] = outcome
+        if isinstance(outcome, UnboundedDownloadError):
+            raise outcome.with_traceback(None)
+        return outcome
+
+    def retire(self) -> None:
+        self._kept, self._touched = self._touched, {}
+
+
 @dataclass
 class DecisionStats:
     inner_calls: int = 0
@@ -428,6 +471,7 @@ class _PredictingController:
         self.horizon = horizon
         self.bank = PredictorBank() if predictor == "robust" else None
         self.last_stats = DecisionStats()
+        self.memo = SolveMemo()
 
     def observe_start(self, trace: TraceSet, state: PlayerState) -> None:
         if self.bank is not None:
@@ -466,7 +510,7 @@ class _PredictingController:
         """
         dt = trace.sample_dt
         t_q = trace.clamped_index(t) * trace.sample_dt
-        remaining = remaining_visible_time(trace, sat, t_q)
+        remaining = remaining_visible_time(trace, sat, t)
         if remaining < math.inf:
             # Model the cliff one sample early: a download stranded past
             # the true edge stalls until the next pass, so the boundary
@@ -585,20 +629,22 @@ class JointMpcController(_PredictingController):
         t = state.wallclock_s
         cur = state.current_satellite
         stats = self.last_stats = DecisionStats()
+        self.memo.retire()
         visible = trace.visible_at(t)
         if not visible:
             return Decision(0, cur, False)
         view = self.plan_view(state, trace, visible)
         stay = view.stay
+        solve = partial(self.memo.solve, f_sat_dpmpc)
 
         options = []
         try:
-            options.append(PlanOption(cur, None, f_sat_dpmpc(stay)))
+            options.append(PlanOption(cur, None, solve(stay)))
         except UnboundedDownloadError:
             pass
         stats.inner_calls = 1 + len(view.targets) * stay.horizon
         for cand, link in view.targets.items():
-            found = handoff_options(stay, cand, link, f_sat_dpmpc)
+            found = handoff_options(stay, cand, link, solve)
             options += found
             if self.dump_candidates:
                 self.candidate_rows += [
@@ -637,6 +683,7 @@ class SeparateController(_PredictingController):
     def decide(self, state: PlayerState, trace: TraceSet) -> Decision:
         t = state.wallclock_s
         cur = state.current_satellite
+        self.memo.retire()
         sat = baseline_handoff(
             self.strategy, cur, trace, t, self.video.chunk_duration_s
         )
@@ -644,7 +691,9 @@ class SeparateController(_PredictingController):
         links, _ = self._predictions(trace, t, [sat], chunks)
         stats = self.last_stats = DecisionStats(inner_calls=1)
         try:
-            res = f_mpc(stay_instance(state, chunks, links[sat], self.video, self.cfg))
+            res = self.memo.solve(
+                f_mpc, stay_instance(state, chunks, links[sat], self.video, self.cfg)
+            )
         except UnboundedDownloadError:
             return Decision(0, sat, sat != cur)
         # The rule switches satellites before the first chunk, if at all.

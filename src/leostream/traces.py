@@ -413,7 +413,8 @@ def inject_obstructions(
 
 
 def remaining_visible_time(trace: TraceSet, sat_id: int, t: float) -> float:
-    """Seconds until the satellite's current visibility run ends.
+    """Seconds from the start of the sample containing t until the
+    satellite's current visibility run ends.
 
     Returns 0 if invisible at t, and +inf when visibility extends through
     the end of the trace (no known horizon exit).
@@ -426,7 +427,7 @@ def remaining_visible_time(trace: TraceSet, sat_id: int, t: float) -> float:
     if len(invisible_after) == 0:
         return math.inf
     end_t = (idx + int(invisible_after[0])) * trace.sample_dt
-    return end_t - t
+    return end_t - idx * trace.sample_dt
 
 
 def _meta_sidecar(path: Path) -> Path:

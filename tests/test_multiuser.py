@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leostream import multiuser
+from leostream import multiuser, planners
 from leostream.harness import build_controller
 from leostream.multiuser import (
     BackgroundProfile,
@@ -23,6 +23,9 @@ from leostream.planners import (
     JointMpcController,
     PlanningError,
     SeparateController,
+    SolveMemo,
+    f_mpc,
+    f_sat_dpmpc,
     select_candidates,
     stay_instance,
 )
@@ -490,23 +493,36 @@ def test_centralized_dominates_independent_two_user_oracle(video, sim_cfg):
         assert central.qos >= independent.qos - 1e-6
 
 
-class _SolveEvery(multiuser.DpMemo):
+class _SolveEvery(SolveMemo):
     """A memo that keeps nothing: every instance is solved anew."""
 
     __slots__ = ()
 
-    def solve(self, inst):
-        return multiuser.f_sat_dpmpc(inst)
+    def solve(self, solver, inst):
+        return solver(inst)
 
 
-def _centralized_run(trace, video, sim_cfg, n_users, n_background, seed, memo=None):
-    coord = CentralizedCoordinator(video, sim_cfg, predictor="robust")
-    if memo is not None:
-        coord._memo = memo
-    return simulate_multi(
-        MultiUserScenario(trace=trace, controllers=[coord] * n_users, n_background=n_background),
-        video, sim_cfg, seed=seed,
+def _controllers(kind, n_users, video, sim_cfg):
+    """n_users controllers; "mixed" alternates separate:mb and joint:dual."""
+    if kind == "centralized":
+        return [CentralizedCoordinator(video, sim_cfg, predictor="robust")] * n_users
+    names = ["separate:mb", "joint:dual"] if kind == "mixed" else [kind]
+    return [
+        build_controller(names[uid % len(names)], video, sim_cfg, "robust", 5)
+        for uid in range(n_users)
+    ]
+
+
+def _scenario_run(kind, trace, video, sim_cfg, n_users, n_background, seed, memo=SolveMemo):
+    """One scenario, its planners served by the memo class simulate_multi makes."""
+    scenario = MultiUserScenario(
+        trace=trace,
+        controllers=_controllers(kind, n_users, video, sim_cfg),
+        n_background=n_background,
     )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(multiuser, "SolveMemo", memo)
+        return simulate_multi(scenario, video, sim_cfg, seed=seed)
 
 
 @settings(max_examples=3)
@@ -521,22 +537,102 @@ def test_memoised_centralized_matches_solving_every_instance(
     seed, rates, n_users, n_background
 ):
     # Users on a suite trace move in lockstep through its pass seams; on
-    # two flat links the planner soon splits them, so their states and
-    # instances diverge.
+    # two flat links the centralized planner soon splits them, so their
+    # states and instances diverge. The scenario memo serves every
+    # planner: the separate:mb, joint:dual and mixed runs share it too.
     sim_cfg = SimConfig()
     for trace, video in [
         (suite_trace(seed), VideoSpec()),
         (make_flat_trace(list(rates)), VideoSpec(n_chunks=20)),
     ]:
-        memoised = _centralized_run(trace, video, sim_cfg, n_users, n_background, seed)
-        fresh = _centralized_run(
-            trace, video, sim_cfg, n_users, n_background, seed, memo=_SolveEvery()
-        )
-        assert memoised.decisions == fresh.decisions
-        assert memoised.per_user == fresh.per_user
-        assert memoised.qos == fresh.qos
-        assert memoised.share_events == fresh.share_events
-        assert memoised.failures == fresh.failures
+        for kind in ("centralized", "separate:mb", "joint:dual", "mixed"):
+            run = (kind, trace, video, sim_cfg, n_users, n_background, seed)
+            memoised = _scenario_run(*run)
+            fresh = _scenario_run(*run, memo=_SolveEvery)
+            assert memoised.decisions == fresh.decisions, kind
+            assert memoised.per_user == fresh.per_user, kind
+            assert memoised.qos == fresh.qos, kind
+            assert memoised.share_events == fresh.share_events, kind
+            assert memoised.failures == fresh.failures, kind
+
+
+@pytest.mark.parametrize("kind, solver", [
+    ("separate:mb", "f_mpc"),
+    ("joint:dual", "f_sat_dpmpc"),
+])
+def test_lockstep_users_make_half_the_solves(kind, solver, video, sim_cfg, monkeypatch):
+    solves = []
+    solve = getattr(planners, solver)
+
+    def counting(inst):
+        solves.append(inst)
+        return solve(inst)
+
+    monkeypatch.setattr(planners, solver, counting)
+    run = (kind, suite_trace(3), video, sim_cfg, 2, 5, 3)
+    shared = _scenario_run(*run)
+    n_shared = len(solves)
+    solves.clear()
+    fresh = _scenario_run(*run, memo=_SolveEvery)
+    # Both users make the same decisions at the same instants, so the
+    # second user to decide reuses every solve of the first.
+    assert shared.decisions[0] == shared.decisions[1] == fresh.decisions[0]
+    assert len(solves) == 2 * n_shared
+    assert len(set(solves)) == n_shared
+
+
+class _Recording(SolveMemo):
+    """A memo that records, per call, the keys asked and, at each retire,
+    the entries the memo held."""
+
+    __slots__ = ("asked", "held")
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+        self.held = []
+
+    def retire(self):
+        self.held.append((set(self._kept), set(self._touched)))
+        super().retire()
+        self.asked.append(set())
+
+    def solve(self, solver, inst):
+        self.asked[-1].add((solver, inst))
+        return super().solve(solver, inst)
+
+
+def test_memo_holds_the_previous_and_the_current_call(video, sim_cfg):
+    made = []
+
+    def recording():
+        made.append(_Recording())
+        return made[-1]
+
+    trace = suite_trace(3)
+    for run in range(2):
+        controllers = _controllers("mixed", 3, video, sim_cfg)
+        memos = [ctrl.memo for ctrl in controllers]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(multiuser, "SolveMemo", recording)
+            result = simulate_multi(
+                MultiUserScenario(trace=trace, controllers=controllers), video, sim_cfg
+            )
+        assert not result.failures
+        # Each simulate_multi makes one memo and gives it to every controller.
+        assert len(made) == run + 1
+        assert all(ctrl.memo is made[-1] for ctrl in controllers)
+        assert not any(memo is made[-1] for memo in memos)
+    calls = sum(len(d) for d in result.decisions)
+    for memo in made:
+        assert len(memo.asked) == calls
+        assert memo.held[0] == (set(), set())  # it starts empty
+        # At the end of call k the memo holds the keys calls k - 1 and k
+        # asked, and nothing else.
+        for k in range(1, calls):
+            kept, touched = memo.held[k]
+            assert touched == memo.asked[k - 1]
+            assert kept == (memo.asked[k - 2] if k >= 2 else set())
 
 
 def test_identical_users_at_the_same_instant_are_solved_once(video, sim_cfg, monkeypatch):
@@ -565,35 +661,39 @@ def test_identical_users_at_the_same_instant_are_solved_once(video, sim_cfg, mon
     # its solves, and the second user's call repeats the first's.
     solves.clear()
     coord = CentralizedCoordinator(video, sim_cfg, predictor="oracle", horizon=horizon)
-    coord._memo = _SolveEvery()
+    coord.memo = _SolveEvery()
     for uid in (0, 1):
         coord.decide_multi(uid, [start, start], trace)
     assert len(solves) == 2 * 4 * (1 + horizon)
     assert len(set(solves)) == 1 + 2 * horizon
 
 
-def test_memo_replays_unbounded_outcomes_and_keeps_one_call(video, sim_cfg, monkeypatch):
+def test_memo_replays_unbounded_outcomes_and_keeps_one_call(video, sim_cfg):
     calls = []
 
     def unbounded(inst):
         calls.append(inst)
         raise UnboundedDownloadError("all horizon plans are unbounded")
 
-    monkeypatch.setattr(multiuser, "f_sat_dpmpc", unbounded)
-    memo = multiuser.DpMemo()
+    memo = SolveMemo()
     view = _view(0, {0: 4.0}, {0: 4.0}, cur=0, video=video)
     inst = view.stay
     for _ in range(3):
         with pytest.raises(UnboundedDownloadError, match="unbounded"):
-            memo.solve(inst)
+            memo.solve(unbounded, inst)
     assert calls == [inst]
 
     # A call keeps what it touched; the call after it drops what it did not.
     memo.retire()
     other = dataclasses.replace(view.stay, current_link=RateSeries.constant(2.0))
     with pytest.raises(UnboundedDownloadError):
-        memo.solve(other)
+        memo.solve(unbounded, other)
     memo.retire()
     with pytest.raises(UnboundedDownloadError):
-        memo.solve(inst)
+        memo.solve(unbounded, inst)
+    assert calls == [inst, other, inst]
+
+    # The solver is part of the key: exhaustive and DP results never mix.
+    assert memo.solve(f_mpc, inst) == f_mpc(inst)
+    assert memo.solve(f_sat_dpmpc, inst) is not memo.solve(f_mpc, inst)
     assert calls == [inst, other, inst]

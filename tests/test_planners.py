@@ -592,6 +592,23 @@ def test_baseline_errors_when_nothing_visible(video):
         baseline_handoff("mb", 0, trace, 30.0, video.chunk_duration_s)
 
 
+def test_visibility_queries_index_a_time_once():
+    # At sample_dt = 0.05, the sample start of t = 43.5 dt is 43 dt, and
+    # int(43 dt / dt) is 42: re-indexing the start reads the previous sample.
+    dt = 0.05
+    n = 100
+    trace = make_flat_trace(
+        [5.0, 5.0], duration_s=n * dt, sample_dt=dt,
+        visible=[[True] * n, [i >= 43 for i in range(n)]],
+    )
+    t = 43.5 * dt
+    assert trace.clamped_index(t) == 43 and int((43 * dt) / dt) == 42
+    # Satellite 1 stays visible to the end, so MVT keeps it.
+    assert baseline_handoff("mvt", 1, trace, t, 2.0) == 1
+    ctrl = JointMpcController(VideoSpec(), SimConfig(), mode="dual")
+    assert ctrl._horizon_link(trace, t, 1, 3.0) == RateSeries.constant(3.0)
+
+
 def test_separate_mb_equals_single_satellite_mpc_on_equal_flats(video, sim_cfg):
     shared = make_flat_trace([10.0, 10.0], duration_s=200.0)
     single = make_flat_trace([10.0], duration_s=200.0)

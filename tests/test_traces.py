@@ -233,6 +233,13 @@ def test_remaining_visible_time():
     assert remaining_visible_time(trace, 0, 40.0) == 0.0
     full = make_flat_trace([5.0], duration_s=60.0)
     assert remaining_visible_time(full, 0, 10.0) == math.inf
+    # Measured from the start of the sample containing t.
+    assert remaining_visible_time(trace, 0, 10.5) == 20.0
+    dt = 0.05
+    tenth = make_flat_trace(
+        [5.0], duration_s=100 * dt, sample_dt=dt, visible=[[i < 30 for i in range(100)]]
+    )
+    assert remaining_visible_time(tenth, 0, 10.5 * dt) == 30 * dt - 10 * dt
 
 
 def test_roundtrip_generated_trace(tmp_path):
