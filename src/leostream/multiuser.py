@@ -418,7 +418,9 @@ def result_json(result: MultiUserResult, include_share_events: bool = False) -> 
 def _best_option(
     view: UserPlanView, target: int, scale_cur: float, scale_target: float, solve
 ) -> PlanOption:
-    """Best option for one user given a target satellite assignment."""
+    """Best option for one user given a target satellite assignment.
+    handoff_options solves each handoff point only above the best point
+    before it."""
     stay = replace(view.stay, current_link=view.stay.current_link.scaled(scale_cur))
     if target == view.current_satellite:
         return PlanOption(target, None, solve(stay))

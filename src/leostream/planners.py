@@ -46,6 +46,10 @@ class PlanningError(RuntimeError):
     pass
 
 
+class BelowFloorError(Exception):
+    """No plan of a floored DP solve reaches its floor (f_sat_dpmpc)."""
+
+
 @dataclass(frozen=True)
 class PlanInstance:
     """One inner-search problem: fixed handoff point, predicted links."""
@@ -245,7 +249,7 @@ def f_sat_mpc(inst: PlanInstance) -> PlanResult:
     return _plan_exhaustive(inst)
 
 
-def f_sat_dpmpc(inst: PlanInstance) -> PlanResult:
+def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
     """DP-accelerated equivalent of the exhaustive search.
 
     States are keyed by (floor(time/dt), floor(buffer/dt), bitrate) with
@@ -253,9 +257,46 @@ def f_sat_dpmpc(inst: PlanInstance) -> PlanResult:
     with its exact time and buffer, so the returned QoE is the true value
     of a real plan and matches the exhaustive search whenever no two plans
     collide on the grid. handoff_chunk None is the stay branch.
+
+    floor asks only for a plan scoring >= floor: the result is the
+    unbounded DP's, bit for bit, when its best plan reaches floor, and
+    BelowFloorError is raised otherwise. The default floor prunes
+    nothing. A state is not expanded when its QoE, plus mu1 times the
+    top rung added once per chunk left in the horizon, is below floor.
+    No chunk scores more than mu1 times the top rung (the weights are
+    >= 0) and rounded addition is monotone, so that sum bounds every plan
+    through the state: every state on the path of a plan scoring >= floor
+    is expanded, with the values the unbounded DP gives it, and a merge
+    cell keeps its winner or loses every state.
+
+    One thing pruning can change: a merge keeps the first of equal-QoE
+    children, in the order the previous stage lists its states, and that
+    order follows each key's first arrival, which a skipped state may
+    have made. A state bounded above every such tie still has the
+    unbounded DP's values. When a tie could reach the result, the solve
+    runs again pruning the last chunk only, where every stage it reads
+    is complete and in order.
     """
+    result = _grid_dp(inst, floor)
+    if result is None:
+        result = _grid_dp(inst, floor, prune_from=inst.horizon)
+    if result.best_qoe < floor:
+        raise BelowFloorError(f"no plan reaches {floor!r}")
+    return result
+
+
+def _grid_dp(inst: PlanInstance, floor: float, prune_from: int = 1) -> PlanResult | None:
+    """f_sat_dpmpc's DP, skipping states from horizon chunk prune_from
+    on. None when a tie merged after a skip could reach the result."""
     dt = inst.sim.dt_s
     expand = _child_expander(inst)
+    top = inst.sim.mu1 * max(inst.video.bitrate_ladder_mbps)
+
+    def bound(q: float, left: int) -> float:
+        for _ in range(left):
+            q += top
+        return q
+
     init_key = (
         int(inst.start_t / dt),
         int(inst.buffer_s / dt),
@@ -266,25 +307,44 @@ def f_sat_dpmpc(inst: PlanInstance) -> PlanResult:
     stage = {init_key: (0.0, inst.start_t, inst.buffer_s, None)}
     stages: list[dict] = []
     visited = 0
+    pruned = False  # whether an earlier stage skipped a state
+    # The highest bound of a tie merged after pruning began: a state
+    # bounded above it has the unbounded DP's values.
+    unsure = NEG_INF
 
     for n in range(1, inst.horizon + 1):
         new_stage: dict = {}
+        skipped = False
+        left = inst.horizon - n
+        prune = n >= prune_from and floor > NEG_INF
         for key, (q, t, buf, _) in stage.items():
+            if prune and bound(q, left + 1) < floor:
+                skipped = True
+                continue
             for rate_idx, new_t, new_buf, new_q in expand(n, t, buf, key[2], q):
                 new_key = (int(new_t / dt), int(new_buf / dt), rate_idx)
                 cur = new_stage.get(new_key)
                 if cur is None or new_q > cur[0]:
                     new_stage[new_key] = (new_q, new_t, new_buf, key)
+                elif pruned and new_q == cur[0]:
+                    unsure = max(unsure, bound(new_q, left))
+        pruned = pruned or skipped
         if not new_stage:
-            raise UnboundedDownloadError("all horizon plans are unbounded")
+            if not pruned:
+                raise UnboundedDownloadError("all horizon plans are unbounded")
+            break
         stages.append(new_stage)
         stage = new_stage
         visited += len(new_stage)
-
-    best_q = max(v[0] for v in stage.values())
-    tied = [key for key, v in stage.items() if v[0] == best_q]
-    best_plan = max(_reconstruct(stages, key) for key in tied)
-    return PlanResult(best_q, best_plan, states_visited=visited)
+    else:
+        best_q = max(v[0] for v in stage.values())
+        if best_q > unsure:
+            tied = [key for key, v in stage.items() if v[0] == best_q]
+            best_plan = max(_reconstruct(stages, key) for key in tied)
+            return PlanResult(best_q, best_plan, states_visited=visited)
+    if unsure < floor:
+        raise BelowFloorError(f"no plan reaches {floor!r}")
+    return None
 
 
 def _reconstruct(stages: list[dict], final_key) -> tuple[int, ...]:
@@ -394,30 +454,38 @@ class PlanOption:
 
 
 def handoff_options(
-    stay: PlanInstance, target: int, target_link: RateSeries, solve
+    stay: PlanInstance, target: int, target_link: RateSeries, solve, floor: float = NEG_INF
 ) -> list[PlanOption]:
-    """Every bounded handoff onto target: stay solved with the handoff at
-    each h in [1, stay.horizon]. Points whose plans are all unbounded are
-    skipped. For one target, PlanOption.rank orders the result by (QoE, h,
-    first bitrate)."""
+    """Every handoff onto target that scores >= floor: stay solved with the
+    handoff at each h in [1, stay.horizon] by solve(instance, floor), the
+    floor raised to each option's QoE as it is found. Points whose plans
+    are all unbounded or below the floor are skipped. An option is thus
+    dropped only when the caller's floor or an earlier point beats it, so
+    the best option by PlanOption.rank, and every option that ties with
+    it, is kept; for one target, rank orders the result by (QoE, h, first
+    bitrate)."""
     options = []
     for h in range(1, stay.horizon + 1):
         try:
-            res = solve(replace(stay, handoff_chunk=h, target_link=target_link))
-        except UnboundedDownloadError:
+            res = solve(replace(stay, handoff_chunk=h, target_link=target_link), floor)
+        except (UnboundedDownloadError, BelowFloorError):
             continue
         options.append(PlanOption(target, h, res))
+        floor = max(floor, res.best_qoe)
     return options
 
 
 class SolveMemo:
-    """Solver outcomes keyed by (solver, PlanInstance value).
+    """Solver outcomes keyed by (solver, PlanInstance value, floor).
 
-    A solve is a pure function of its solver and instance, so a stored
-    result, or a stored UnboundedDownloadError raised again, is
-    bit-identical to solving anew; the solver in the key keeps exhaustive
-    and DP results apart. Callers pass the solver they read from their
-    module at call time, so a patched solver is the one that runs.
+    A solve is a pure function of its solver, instance and floor, so a
+    stored result, or a stored UnboundedDownloadError or BelowFloorError
+    raised again as a fresh exception of the same type and message, is
+    the same as solving anew; the solver in the key
+    keeps exhaustive and DP results apart. An unfloored solve calls
+    solver(inst), so the exhaustive solvers, which take no floor, share
+    the memo. Callers pass the solver they read from their module at
+    call time, so a patched solver is the one that runs.
     retire() starts a planning call: it keeps only the entries the
     previous call touched, so each call sees exactly the previous call's
     solves, whether or not that call raised.
@@ -434,19 +502,22 @@ class SolveMemo:
         self._kept: dict = {}
         self._touched: dict = {}
 
-    def solve(self, solver, inst: PlanInstance) -> PlanResult:
-        key = (solver, inst)
+    def solve(self, solver, inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
+        key = (solver, inst, floor)
         outcome = self._touched.get(key)
         if outcome is None:
             outcome = self._kept.get(key)
             if outcome is None:
                 try:
-                    outcome = solver(inst)
-                except UnboundedDownloadError as exc:
-                    outcome = exc
+                    outcome = solver(inst) if floor == NEG_INF else solver(inst, floor)
+                except (UnboundedDownloadError, BelowFloorError) as exc:
+                    # Keep no traceback: its frames hold the solve's states.
+                    outcome = exc.with_traceback(None)
             self._touched[key] = outcome
-        if isinstance(outcome, UnboundedDownloadError):
-            raise outcome.with_traceback(None)
+        if isinstance(outcome, Exception):
+            # A fresh exception: a stored one would take a traceback whose
+            # frame holds it, a cycle that only the garbage collector frees.
+            raise type(outcome)(*outcome.args)
         return outcome
 
     def retire(self) -> None:
@@ -474,7 +545,10 @@ class _PredictingController:
         self.memo = SolveMemo()
 
     def observe_start(self, trace: TraceSet, state: PlayerState) -> None:
+        """Start a session: forget the last session's observations. The
+        memo stays, as simulate_multi sets it before this call."""
         if self.bank is not None:
+            self.bank = PredictorBank()
             self.bank.observe_epoch(trace, 0.0)
 
     def observe_chunk(self, trace: TraceSet, state: PlayerState, outcome) -> None:
@@ -568,9 +642,12 @@ class JointMpcController(_PredictingController):
     """Receding-horizon joint bitrate and handoff planner.
 
     mode selects the candidate rule (dual or manifold); every option is
-    solved by the grid DP. Only the first action of the winning horizon
-    plan is executed; a handoff happens only when the winner switches
-    before the immediate chunk.
+    solved by the grid DP. The stay option is solved in full, and each
+    handoff option only above the best option found before it (the DP's
+    floor), so an option that cannot win or tie is not solved in full;
+    with dump_candidates every option is solved in full. Only the first
+    action of the winning horizon plan is executed; a handoff happens
+    only when the winner switches before the immediate chunk.
     """
 
     def __init__(
@@ -590,6 +667,11 @@ class JointMpcController(_PredictingController):
         self._last_handoff_chunk: int | None = None
         self.dump_candidates = dump_candidates
         self.candidate_rows: list[tuple[int, int, int | None, float]] = []
+
+    def observe_start(self, trace: TraceSet, state: PlayerState) -> None:
+        super().observe_start(trace, state)
+        self.previous_satellite = None
+        self._last_handoff_chunk = None
 
     def record_handoff(self, state: PlayerState) -> None:
         """Note a handoff away from state's satellite, decided at its chunk."""
@@ -636,6 +718,10 @@ class JointMpcController(_PredictingController):
         view = self.plan_view(state, trace, visible)
         stay = view.stay
         solve = partial(self.memo.solve, f_sat_dpmpc)
+        if self.dump_candidates:
+            # candidates.csv lists every option's exact QoE: no floor.
+            def solve(inst, floor=NEG_INF):
+                return self.memo.solve(f_sat_dpmpc, inst)
 
         options = []
         try:
@@ -644,7 +730,9 @@ class JointMpcController(_PredictingController):
             pass
         stats.inner_calls = 1 + len(view.targets) * stay.horizon
         for cand, link in view.targets.items():
-            found = handoff_options(stay, cand, link, solve)
+            # Only an option that beats or ties the best so far can win.
+            floor = max((o.result.best_qoe for o in options), default=NEG_INF)
+            found = handoff_options(stay, cand, link, solve, floor)
             options += found
             if self.dump_candidates:
                 self.candidate_rows += [

@@ -20,6 +20,7 @@ from leostream.multiuser import (
     simulate_multi,
 )
 from leostream.planners import (
+    BelowFloorError,
     JointMpcController,
     PlanningError,
     SeparateController,
@@ -433,9 +434,9 @@ def test_no_bounce_back_lapses_after_horizon_or_set(kind, video, sim_cfg, monkey
     solves = []
     solve = multiuser.f_sat_dpmpc
 
-    def counting(inst):
+    def counting(inst, *floor):
         solves.append(inst)
-        return solve(inst)
+        return solve(inst, *floor)
 
     monkeypatch.setattr(multiuser, "f_sat_dpmpc", counting)
     horizon = 5
@@ -498,8 +499,8 @@ class _SolveEvery(SolveMemo):
 
     __slots__ = ()
 
-    def solve(self, solver, inst):
-        return solver(inst)
+    def solve(self, solver, inst, floor=-math.inf):
+        return SolveMemo().solve(solver, inst, floor)
 
 
 def _controllers(kind, n_users, video, sim_cfg):
@@ -564,9 +565,9 @@ def test_lockstep_users_make_half_the_solves(kind, solver, video, sim_cfg, monke
     solves = []
     solve = getattr(planners, solver)
 
-    def counting(inst):
+    def counting(inst, *floor):
         solves.append(inst)
-        return solve(inst)
+        return solve(inst, *floor)
 
     monkeypatch.setattr(planners, solver, counting)
     run = (kind, suite_trace(3), video, sim_cfg, 2, 5, 3)
@@ -579,6 +580,126 @@ def test_lockstep_users_make_half_the_solves(kind, solver, video, sim_cfg, monke
     assert shared.decisions[0] == shared.decisions[1] == fresh.decisions[0]
     assert len(solves) == 2 * n_shared
     assert len(set(solves)) == n_shared
+
+
+class _Unfloored(SolveMemo):
+    """A memo that solves every option in full: it drops the floor."""
+
+    __slots__ = ()
+
+    def solve(self, solver, inst, floor=-math.inf):
+        return super().solve(solver, inst)
+
+
+class _FloorLog(SolveMemo):
+    """A memo that logs, per planning call, each solve's floor and QoE
+    (None when the solve found no plan)."""
+
+    __slots__ = ("calls",)
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def retire(self):
+        super().retire()
+        self.calls.append([])
+
+    def solve(self, solver, inst, floor=-math.inf):
+        try:
+            res = super().solve(solver, inst, floor)
+        except (UnboundedDownloadError, BelowFloorError):
+            self.calls[-1].append((floor, None))
+            raise
+        self.calls[-1].append((floor, res.best_qoe))
+        return res
+
+
+class _Choices:
+    """Runs a controller and keeps each decision's chosen option, bit for bit."""
+
+    def __init__(self, ctrl):
+        self.ctrl = ctrl
+        self.chosen = []
+
+    def __getattr__(self, name):
+        return getattr(self.ctrl, name)
+
+    def decide(self, state, trace):
+        decision = self.ctrl.decide(state, trace)
+        c = self.ctrl.last_stats.chosen
+        self.chosen.append(None if c is None else (
+            c.satellite, c.handoff_chunk, c.result.best_qoe.hex(), c.result.full_bitrate_plan
+        ))
+        return decision
+
+
+def _floor_traces():
+    """Suite traces on which the planners hand off, and flat equal-rate
+    traces, whose options tie exactly."""
+    n = 200
+    return [
+        suite_trace(1),
+        suite_trace(3),
+        make_flat_trace([4.0, 4.0, 4.0]),
+        # Satellite 0 sets at 40 s: handoff options onto satellites 1 and
+        # 2 tie exactly, across targets and handoff points, and rank
+        # breaks the ties.
+        make_flat_trace(
+            [4.0, 4.0, 4.0], visible=[[i < 40 for i in range(n)], [True] * n, [True] * n]
+        ),
+    ]
+
+
+@pytest.mark.parametrize("mode", ["dual", "manifold"])
+def test_floored_joint_decisions_match_solving_in_full(mode, video6, sim_cfg):
+    for trace in _floor_traces():
+        runs, logs = [], []
+        for memo, dump in ((_FloorLog(), False), (_Unfloored(), False), (_FloorLog(), True)):
+            ctrl = JointMpcController(video6, sim_cfg, mode=mode, dump_candidates=dump)
+            ctrl.memo = memo
+            choices = _Choices(ctrl)
+            result = run_session(trace, choices, video6, sim_cfg)
+            runs.append((result.decisions, result.breakdown, choices.chosen))
+            logs.append(getattr(memo, "calls", None))
+        assert runs[0] == runs[1] == runs[2]
+        # The stay is solved in full and each handoff option above the
+        # best option solved before it in the same decision; dumping
+        # candidates solves every option in full.
+        floored, _, dumped = logs
+        for solves in floored:
+            best = -math.inf
+            for floor, qoe in solves:
+                assert floor == best
+                if qoe is not None:
+                    best = max(best, qoe)
+        assert all(floor == -math.inf for solves in dumped for floor, _ in solves)
+
+
+def test_floored_centralized_decisions_match_solving_in_full(video6, sim_cfg):
+    video = dataclasses.replace(video6, n_chunks=25)
+    for trace in _floor_traces():
+        run = ("centralized", trace, video, sim_cfg, 2, 0, 3)
+        floored = _scenario_run(*run)
+        full = _scenario_run(*run, memo=_Unfloored)
+        assert floored.decisions == full.decisions
+        assert floored.per_user == full.per_user
+        assert floored.failures == full.failures == {}
+
+
+@pytest.mark.parametrize("kind", ["centralized", "joint:dual", "mixed"])
+def test_controllers_run_a_second_scenario_as_fresh_ones(kind, video, sim_cfg):
+    def run(trace, controllers):
+        scenario = MultiUserScenario(trace=trace, controllers=controllers, n_background=5)
+        return simulate_multi(scenario, video, sim_cfg, seed=3)
+
+    reused = _controllers(kind, 2, video, sim_cfg)
+    assert not run(suite_trace(1), reused).failures
+    again = run(suite_trace(3), reused)
+    fresh = run(suite_trace(3), _controllers(kind, 2, video, sim_cfg))
+    assert not again.failures
+    assert again.decisions == fresh.decisions
+    assert again.per_user == fresh.per_user
 
 
 class _Recording(SolveMemo):
@@ -597,9 +718,9 @@ class _Recording(SolveMemo):
         super().retire()
         self.asked.append(set())
 
-    def solve(self, solver, inst):
-        self.asked[-1].add((solver, inst))
-        return super().solve(solver, inst)
+    def solve(self, solver, inst, floor=-math.inf):
+        self.asked[-1].add((solver, inst, floor))
+        return super().solve(solver, inst, floor)
 
 
 def test_memo_holds_the_previous_and_the_current_call(video, sim_cfg):
@@ -639,9 +760,9 @@ def test_identical_users_at_the_same_instant_are_solved_once(video, sim_cfg, mon
     solves = []
     solve = multiuser.f_sat_dpmpc
 
-    def counting(inst):
+    def counting(inst, *floor):
         solves.append(inst)
-        return solve(inst)
+        return solve(inst, *floor)
 
     monkeypatch.setattr(multiuser, "f_sat_dpmpc", counting)
     trace = make_flat_trace([4.0, 3.0])

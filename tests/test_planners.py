@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from leostream import planners
 from leostream.harness import build_controller
 from leostream.planners import (
+    BelowFloorError,
     JointMpcController,
     PlanInstance,
     PlanningError,
     SeparateController,
     _chunk_wait,
+    _grid_dp,
     baseline_handoff,
     evaluate_plan,
     f_mpc,
@@ -264,6 +266,53 @@ def test_dp_matches_scalar_reference_and_reevaluates_exactly(inst, dt):
     assert evaluate_plan(inst, res.full_bitrate_plan) == res.best_qoe
     exhaustive = f_mpc if inst.handoff_chunk is None else f_sat_mpc
     assert res.best_qoe <= exhaustive(inst).best_qoe
+
+
+@settings(max_examples=200)
+@given(_plan_instances(), st.sampled_from((0.25, 1.0)), st.floats(0.0, 20.0))
+def test_dp_floor_returns_the_unbounded_plan_or_below_floor(inst, dt, gap):
+    inst = dataclasses.replace(inst, sim=dataclasses.replace(inst.sim, dt_s=dt))
+    try:
+        full = f_sat_dpmpc(inst)
+    except UnboundedDownloadError:
+        # No plan at all: no floor finds one.
+        with pytest.raises((UnboundedDownloadError, BelowFloorError)):
+            f_sat_dpmpc(inst, -gap)
+        return
+    best = full.best_qoe
+    floors = [best - gap, best - 1e-9, best, math.nextafter(best, math.inf), best + 1.0 + gap]
+    for floor in floors:
+        if best >= floor:
+            res = f_sat_dpmpc(inst, floor)
+            assert (res.best_qoe.hex(), res.full_bitrate_plan) == (
+                best.hex(), full.full_bitrate_plan
+            ), floor
+            assert res.states_visited <= full.states_visited
+        else:
+            with pytest.raises(BelowFloorError):
+                f_sat_dpmpc(inst, floor)
+
+
+def test_dp_floor_keeps_the_unbounded_tie_break():
+    # Pruning at chunk 2 reorders the chunk-2 states, and two chunk-3
+    # children tie: plans (4, 3, 3) and (4, 3, 4) both score 11. The
+    # first pass cannot tell which one the unbounded merge keeps, so the
+    # solve prunes again at the last chunk only, where the order is intact.
+    video = VideoSpec(bitrate_ladder_mbps=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
+    cur = [1.0, 5.7, 3.7, 1.5, 5.0, 4.2, 3.6, 0.8, 3.6, 2.2, 0.7, 6.5]
+    new = [0.6, 0.7, 8.7, 7.7, 8.6, 7.2, 6.0, 4.0, 6.3, 3.6, 4.6]
+    inst = PlanInstance(
+        horizon=3, buffer_s=3.8, last_bitrate_idx=5, start_t=2.66, handoff_chunk=3,
+        current_link=RateSeries(1.0, 1.0, cur), target_link=RateSeries(1.5, 0.5, new),
+        video=video, sim=SimConfig(max_buffer_s=8.0, dt_s=2.0),
+    )
+    full = f_sat_dpmpc(inst)
+    assert (full.best_qoe, full.full_bitrate_plan) == (11.0, (4, 3, 3))
+    for floor in (11.0, 10.9):
+        assert _grid_dp(inst, floor) is None
+        res = f_sat_dpmpc(inst, floor)
+        assert (res.best_qoe, res.full_bitrate_plan) == (11.0, (4, 3, 3))
+        assert res.states_visited < full.states_visited
 
 
 def _bounded_prefixes(inst):
@@ -526,6 +575,29 @@ def test_joint_decide_deterministic(video, sim_cfg):
     assert decisions[0] == decisions[1]
 
 
+@pytest.mark.parametrize("name", ["joint:dual", "joint:manifold", "separate:mb"])
+def test_a_controller_runs_a_second_session_as_a_fresh_one(name, video, sim_cfg):
+    traces = [suite_trace(1)]  # every controller here hands off once on it
+    if name.startswith("joint"):
+        # Satellite 0 serves first and sets at 10 s; satellite 1 stays in view.
+        n = 200
+        traces.append(
+            make_flat_trace([8.0, 4.0], visible=[[i < 10 for i in range(n)], [True] * n])
+        )
+    for trace in traces:
+        reused = build_controller(name, video, sim_cfg, "robust", 5)
+        run_session(suite_trace(3), reused, video, sim_cfg)
+        if name.startswith("joint"):
+            # As if the first session had just left satellite 1: dual's
+            # no-bounce-back rule would keep excluding it.
+            reused.record_handoff(PlayerState(48, 96.0, 4.0, 0, 1))
+        again = run_session(trace, reused, video, sim_cfg)
+        fresh = run_session(trace, build_controller(name, video, sim_cfg, "robust", 5), video, sim_cfg)
+        assert any(d.handoff_now for d in fresh.decisions)
+        assert again.decisions == fresh.decisions
+        assert again.breakdown == fresh.breakdown
+
+
 def test_dp_and_exhaustive_controllers_agree_closely(video, sim_cfg, monkeypatch):
     trace = suite_trace(1)
     dp_ctrl = JointMpcController(video, dataclasses.replace(sim_cfg, dt_s=0.05), mode="dual")
@@ -534,7 +606,7 @@ def test_dp_and_exhaustive_controllers_agree_closely(video, sim_cfg, monkeypatch
     # The controller's inner search, swapped for exhaustive enumeration.
     solves = []
 
-    def exhaustive(inst):
+    def exhaustive(inst, floor=-math.inf):  # the floor only prunes; ignoring it is exact
         solves.append(inst.handoff_chunk)
         return f_mpc(inst) if inst.handoff_chunk is None else f_sat_mpc(inst)
 
