@@ -160,7 +160,9 @@ def _decide(user: _User, users: list[_User], trace: TraceSet) -> Decision:
     ctrl = user.controller
     t0 = _time.perf_counter()
     if hasattr(ctrl, "decide_multi"):
-        decision = ctrl.decide_multi(user.uid, [u.state for u in users], trace)
+        # A failed user's state is None: it takes no share of a plan.
+        states = [None if u.phase == "failed" else u.state for u in users]
+        decision = ctrl.decide_multi(user.uid, states, trace)
     else:
         decision = ctrl.decide(user.state, trace)
     user.latencies.append(_time.perf_counter() - t0)
@@ -535,12 +537,14 @@ class CentralizedCoordinator:
         return self._user(uid).plan_view(state, trace, visible, user_id=uid)
 
     def decide_multi(
-        self, uid: int, states: list[PlayerState], trace: TraceSet
+        self, uid: int, states: list[PlayerState | None], trace: TraceSet
     ) -> Decision:
+        """uid's decision, planned jointly with every user still playing;
+        a None state (a failed user) and a finished session are left out."""
         views = [
             self._view(i, state, trace)
             for i, state in enumerate(states)
-            if state.chunk_index < self.video.n_chunks
+            if state is not None and state.chunk_index < self.video.n_chunks
         ]
         if not views:
             raise PlanningError("no active users to plan for")

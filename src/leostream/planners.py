@@ -266,28 +266,15 @@ def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
     No chunk scores more than mu1 times the top rung (the weights are
     >= 0) and rounded addition is monotone, so that sum bounds every plan
     through the state: every state on the path of a plan scoring >= floor
-    is expanded, with the values the unbounded DP gives it, and a merge
-    cell keeps its winner or loses every state.
+    is expanded, with the values the unbounded DP gives it.
 
-    One thing pruning can change: a merge keeps the first of equal-QoE
-    children, in the order the previous stage lists its states, and that
-    order follows each key's first arrival, which a skipped state may
-    have made. A state bounded above every such tie still has the
-    unbounded DP's values. When a tie could reach the result, the solve
-    runs again pruning the last chunk only, where every stage it reads
-    is complete and in order.
+    A merge keeps the child with the highest QoE and, on an exact tie,
+    the one with the earlier clock, then the fuller buffer, then the
+    lower parent key. That order is total and does not depend on the
+    order in which a stage lists its states, so a cell keeps the
+    unbounded DP's winner whenever that winner is bounded at or above
+    floor, whichever of the cell's other children were skipped.
     """
-    result = _grid_dp(inst, floor)
-    if result is None:
-        result = _grid_dp(inst, floor, prune_from=inst.horizon)
-    if result.best_qoe < floor:
-        raise BelowFloorError(f"no plan reaches {floor!r}")
-    return result
-
-
-def _grid_dp(inst: PlanInstance, floor: float, prune_from: int = 1) -> PlanResult | None:
-    """f_sat_dpmpc's DP, skipping states from horizon chunk prune_from
-    on. None when a tie merged after a skip could reach the result."""
     dt = inst.sim.dt_s
     expand = _child_expander(inst)
     top = inst.sim.mu1 * max(inst.video.bitrate_ladder_mbps)
@@ -307,16 +294,12 @@ def _grid_dp(inst: PlanInstance, floor: float, prune_from: int = 1) -> PlanResul
     stage = {init_key: (0.0, inst.start_t, inst.buffer_s, None)}
     stages: list[dict] = []
     visited = 0
-    pruned = False  # whether an earlier stage skipped a state
-    # The highest bound of a tie merged after pruning began: a state
-    # bounded above it has the unbounded DP's values.
-    unsure = NEG_INF
+    prune = floor > NEG_INF
+    skipped = False
 
     for n in range(1, inst.horizon + 1):
         new_stage: dict = {}
-        skipped = False
         left = inst.horizon - n
-        prune = n >= prune_from and floor > NEG_INF
         for key, (q, t, buf, _) in stage.items():
             if prune and bound(q, left + 1) < floor:
                 skipped = True
@@ -324,27 +307,24 @@ def _grid_dp(inst: PlanInstance, floor: float, prune_from: int = 1) -> PlanResul
             for rate_idx, new_t, new_buf, new_q in expand(n, t, buf, key[2], q):
                 new_key = (int(new_t / dt), int(new_buf / dt), rate_idx)
                 cur = new_stage.get(new_key)
-                if cur is None or new_q > cur[0]:
+                if cur is None or new_q > cur[0] or (
+                    new_q == cur[0] and (new_t, -new_buf, key) < (cur[1], -cur[2], cur[3])
+                ):
                     new_stage[new_key] = (new_q, new_t, new_buf, key)
-                elif pruned and new_q == cur[0]:
-                    unsure = max(unsure, bound(new_q, left))
-        pruned = pruned or skipped
         if not new_stage:
-            if not pruned:
-                raise UnboundedDownloadError("all horizon plans are unbounded")
-            break
+            if skipped:
+                raise BelowFloorError(f"no plan reaches {floor!r}")
+            raise UnboundedDownloadError("all horizon plans are unbounded")
         stages.append(new_stage)
         stage = new_stage
         visited += len(new_stage)
-    else:
-        best_q = max(v[0] for v in stage.values())
-        if best_q > unsure:
-            tied = [key for key, v in stage.items() if v[0] == best_q]
-            best_plan = max(_reconstruct(stages, key) for key in tied)
-            return PlanResult(best_q, best_plan, states_visited=visited)
-    if unsure < floor:
+
+    best_q = max(v[0] for v in stage.values())
+    if best_q < floor:
         raise BelowFloorError(f"no plan reaches {floor!r}")
-    return None
+    tied = [key for key, v in stage.items() if v[0] == best_q]
+    best_plan = max(_reconstruct(stages, key) for key in tied)
+    return PlanResult(best_q, best_plan, states_visited=visited)
 
 
 def _reconstruct(stages: list[dict], final_key) -> tuple[int, ...]:
@@ -808,7 +788,8 @@ def offline_optimal_plan(
     order: a key keeps its first candidate with the highest QoE (a later
     one replaces it only on a strictly greater value), and the new stage
     lists keys by their first candidate. The final state is the max over
-    (QoE,) + key.
+    (QoE,) + key. This first-candidate rule is not f_sat_dpmpc's tie
+    rule, which does not depend on stage order.
     """
     dt = cfg.dt_s
     ladder = np.asarray(video.bitrate_ladder_mbps)

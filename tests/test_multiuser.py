@@ -300,6 +300,35 @@ def test_failed_observe_chunk_recorded_as_failed_user(video, sim_cfg):
     assert len(result.decisions[1]) == video.n_chunks
 
 
+def test_centralized_plans_only_for_live_users(video, sim_cfg, monkeypatch):
+    trace = make_flat_trace([6.0, 4.0], duration_s=200.0)
+    planned = []
+    decide = multiuser.centralized_mpc_decide
+
+    def recording(views, memo=None):
+        planned.append(tuple(view.user_id for view in views))
+        return decide(views, memo)
+
+    monkeypatch.setattr(multiuser, "centralized_mpc_decide", recording)
+
+    class BrokenUpdate(CentralizedCoordinator):
+        def observe_chunk_user(self, uid, trace, state, outcome):
+            if uid == 1:
+                raise RuntimeError("predictor update failed")
+            super().observe_chunk_user(uid, trace, state, outcome)
+
+    coord = BrokenUpdate(video, sim_cfg, predictor="oracle")
+    scenario = MultiUserScenario(trace=trace, controllers=[coord] * 3)
+    result = simulate_multi(scenario, video, sim_cfg, seed=0)
+    assert list(result.failures) == [1]
+    assert result.decisions[1] and len(result.decisions[0]) == video.n_chunks
+    # Every plan before user 1's first chunk completes covers all three
+    # users; every plan after it covers only users 0 and 2.
+    first_live = planned.index((0, 2))
+    assert set(planned[:first_live]) == {(0, 1, 2)}
+    assert set(planned[first_live:]) == {(0, 2)}
+
+
 def test_event_loop_iteration_budget(video, sim_cfg, monkeypatch):
     trace = make_flat_trace([6.0], duration_s=200.0)
     scenario = MultiUserScenario(trace=trace, controllers=[SeparateController(video, sim_cfg)])

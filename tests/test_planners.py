@@ -16,7 +16,6 @@ from leostream.planners import (
     PlanningError,
     SeparateController,
     _chunk_wait,
-    _grid_dp,
     baseline_handoff,
     evaluate_plan,
     f_mpc,
@@ -200,17 +199,23 @@ def test_prefix_shared_search_matches_naive_enumeration(inst):
     assert got == expected
 
 
-def _scalar_dp(inst):
-    """Reference grid DP: one _chunk_wait + settle_chunk + chunk_qoe per rung."""
+def _scalar_dp(inst, reverse=False):
+    """Reference grid DP: one _chunk_wait + settle_chunk + chunk_qoe per rung.
+
+    A tie in QoE keeps the earlier clock, then the fuller buffer, then the
+    lower parent key. reverse visits each stage's states, and the ladder,
+    in reverse order, which that rule makes irrelevant.
+    """
     dt = inst.sim.dt_s
     ladder = inst.video.bitrate_ladder_mbps
+    order = reversed if reverse else iter
     init_key = (int(inst.start_t / dt), int(inst.buffer_s / dt), inst.last_bitrate_idx)
     stage = {init_key: (0.0, inst.start_t, inst.buffer_s)}
     parents, visited = [], 0
     for n in range(1, inst.horizon + 1):
         new_stage, par = {}, {}
-        for key, (q, t, buf) in stage.items():
-            for rate_idx in range(len(ladder)):
+        for key, (q, t, buf) in order(list(stage.items())):
+            for rate_idx in order(range(len(ladder))):
                 try:
                     wait = _chunk_wait(inst, n, t, rate_idx)
                 except UnboundedDownloadError:
@@ -223,7 +228,11 @@ def _scalar_dp(inst):
                 if drain > 0.0:
                     new_t += drain
                 new_key = (int(new_t / dt), int(new_buf / dt), rate_idx)
-                if new_key not in new_stage or new_q > new_stage[new_key][0]:
+                cur = new_stage.get(new_key)
+                if cur is None or new_q > cur[0] or (
+                    new_q == cur[0]
+                    and (new_t, -new_buf, key) < (cur[1], -cur[2], par[new_key])
+                ):
                     new_stage[new_key] = (new_q, new_t, new_buf)
                     par[new_key] = key
         if not new_stage:
@@ -294,10 +303,11 @@ def test_dp_floor_returns_the_unbounded_plan_or_below_floor(inst, dt, gap):
 
 
 def test_dp_floor_keeps_the_unbounded_tie_break():
-    # Pruning at chunk 2 reorders the chunk-2 states, and two chunk-3
-    # children tie: plans (4, 3, 3) and (4, 3, 4) both score 11. The
-    # first pass cannot tell which one the unbounded merge keeps, so the
-    # solve prunes again at the last chunk only, where the order is intact.
+    # Plans (3, 4, 4) and (4, 3, 4) meet in one chunk-3 cell with equal
+    # QoE (11), clock and buffer, so the lower parent key, that of (4, 3),
+    # wins. (4, 3, 3) scores 11 in another cell; the higher of the tied
+    # plans is returned. The floors skip states at chunks 2 and 3, which
+    # leaves the tied cell's winner as it is.
     video = VideoSpec(bitrate_ladder_mbps=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0))
     cur = [1.0, 5.7, 3.7, 1.5, 5.0, 4.2, 3.6, 0.8, 3.6, 2.2, 0.7, 6.5]
     new = [0.6, 0.7, 8.7, 7.7, 8.6, 7.2, 6.0, 4.0, 6.3, 3.6, 4.6]
@@ -306,13 +316,59 @@ def test_dp_floor_keeps_the_unbounded_tie_break():
         current_link=RateSeries(1.0, 1.0, cur), target_link=RateSeries(1.5, 0.5, new),
         video=video, sim=SimConfig(max_buffer_s=8.0, dt_s=2.0),
     )
+    assert {evaluate_plan(inst, plan) for plan in ((3, 4, 4), (4, 3, 4), (4, 3, 3))} == {11.0}
     full = f_sat_dpmpc(inst)
-    assert (full.best_qoe, full.full_bitrate_plan) == (11.0, (4, 3, 3))
+    assert (full.best_qoe, full.full_bitrate_plan) == (11.0, (4, 3, 4))
     for floor in (11.0, 10.9):
-        assert _grid_dp(inst, floor) is None
         res = f_sat_dpmpc(inst, floor)
-        assert (res.best_qoe, res.full_bitrate_plan) == (11.0, (4, 3, 3))
+        assert (res.best_qoe.hex(), res.full_bitrate_plan) == (
+            full.best_qoe.hex(), full.full_bitrate_plan
+        )
         assert res.states_visited < full.states_visited
+
+
+@st.composite
+def _tied_instances(draw):
+    """Instances whose plans often tie exactly: integer rungs, rates on a
+    0.5 Mbps grid, start and buffer on a 0.5 s grid. The handoff point
+    is left to the test, which tries every one."""
+    horizon = draw(st.integers(2, 4))
+    sim = SimConfig(
+        max_buffer_s=draw(st.sampled_from((8.0, 60.0))),
+        dt_s=draw(st.sampled_from((0.5, 1.0, 2.0))),
+    )
+    rates = st.lists(st.integers(1, 16).map(lambda k: k / 2), min_size=4, max_size=12)
+    return PlanInstance(
+        horizon=horizon,
+        buffer_s=draw(st.integers(0, 16)) / 2,
+        last_bitrate_idx=draw(st.integers(0, 5)),
+        start_t=draw(st.integers(0, 8)) / 2,
+        handoff_chunk=None,
+        current_link=RateSeries(0.0, draw(st.sampled_from((0.5, 1.0))), draw(rates)),
+        target_link=RateSeries(0.0, draw(st.sampled_from((0.5, 1.0))), draw(rates)),
+        video=VideoSpec(bitrate_ladder_mbps=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+        sim=sim,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tied_instances())
+def test_dp_merge_ignores_stage_order(base):
+    for h in (None, *range(1, base.horizon + 1)):
+        inst = dataclasses.replace(base, handoff_chunk=h)
+        q, plan, visited = _scalar_dp(inst, reverse=True)
+        full = f_sat_dpmpc(inst)
+        assert (full.best_qoe.hex(), full.full_bitrate_plan, full.states_visited) == (
+            q.hex(), plan, visited
+        )
+        for floor in (q - 1.0, math.nextafter(q, -math.inf), q, math.nextafter(q, math.inf)):
+            try:
+                res = f_sat_dpmpc(inst, floor)
+            except BelowFloorError:
+                assert q < floor
+                continue
+            assert (res.best_qoe.hex(), res.full_bitrate_plan) == (q.hex(), plan)
+            assert res.states_visited <= visited
 
 
 def _bounded_prefixes(inst):
