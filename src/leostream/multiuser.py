@@ -419,17 +419,16 @@ def result_json(result: MultiUserResult, include_share_events: bool = False) -> 
 
 def _best_option(
     view: UserPlanView, target: int, scale_cur: float, scale_target: float, solve
-) -> PlanOption:
-    """Best option for one user given a target satellite assignment.
-    handoff_options solves each handoff point only above the best point
-    before it."""
+) -> PlanOption | None:
+    """Best option for one user given a target satellite assignment, None
+    when every plan is unbounded. handoff_options solves each handoff
+    point only above the best point before it."""
     stay = replace(view.stay, current_link=view.stay.current_link.scaled(scale_cur))
     if target == view.current_satellite:
-        return PlanOption(target, None, solve(stay))
-    options = handoff_options(stay, target, view.targets[target].scaled(scale_target), solve)
-    if not options:
-        raise simcore.UnboundedDownloadError("no feasible handoff plan")
-    return max(options, key=PlanOption.rank)
+        res = solve(stay)
+        return None if res is None else PlanOption(target, None, res)
+    link = view.targets[target].scaled(scale_target)
+    return max(handoff_options(stay, {target: link}, solve), key=PlanOption.rank, default=None)
 
 
 def centralized_mpc_decide(
@@ -467,9 +466,8 @@ def centralized_mpc_decide(
         for view, target in zip(views, assignment):
             scale_cur = 1.0 / current_counts[view.current_satellite]
             scale_target = 1.0 / target_counts[target]
-            try:
-                option = _best_option(view, target, scale_cur, scale_target, solve)
-            except simcore.UnboundedDownloadError:
+            option = _best_option(view, target, scale_cur, scale_target, solve)
+            if option is None:
                 break  # an infeasible assignment
             total += option.result.best_qoe
             options.append(option)

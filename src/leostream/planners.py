@@ -434,41 +434,43 @@ class PlanOption:
 
 
 def handoff_options(
-    stay: PlanInstance, target: int, target_link: RateSeries, solve, floor: float = NEG_INF
+    stay: PlanInstance, targets: dict[int, RateSeries], solve, floor: float = NEG_INF
 ) -> list[PlanOption]:
-    """Every handoff onto target that scores >= floor: stay solved with the
-    handoff at each h in [1, stay.horizon] by solve(instance, floor), the
-    floor raised to each option's QoE as it is found. Points whose plans
-    are all unbounded or below the floor are skipped. An option is thus
-    dropped only when the caller's floor or an earlier point beats it, so
+    """Every handoff that scores >= floor, onto each target in turn: stay
+    solved with the handoff at each h in [1, stay.horizon] by
+    solve(instance, floor), which returns None when no plan is bounded
+    or reaches floor. One running floor, raised to each option's QoE as
+    it is found, carries across targets and points, so an option is
+    dropped only when the caller's floor or an earlier option beats it:
     the best option by PlanOption.rank, and every option that ties with
-    it, is kept; for one target, rank orders the result by (QoE, h, first
-    bitrate)."""
+    it, is kept."""
     options = []
-    for h in range(1, stay.horizon + 1):
-        try:
-            res = solve(replace(stay, handoff_chunk=h, target_link=target_link), floor)
-        except (UnboundedDownloadError, BelowFloorError):
-            continue
-        options.append(PlanOption(target, h, res))
-        floor = max(floor, res.best_qoe)
+    for target, link in targets.items():
+        for h in range(1, stay.horizon + 1):
+            res = solve(replace(stay, handoff_chunk=h, target_link=link), floor)
+            if res is not None:
+                options.append(PlanOption(target, h, res))
+                floor = max(floor, res.best_qoe)
     return options
+
+
+_UNSOLVED = object()  # a memo miss: None is a stored outcome
 
 
 class SolveMemo:
     """Solver outcomes keyed by (solver, PlanInstance value, floor).
 
-    A solve is a pure function of its solver, instance and floor, so a
-    stored result, or a stored UnboundedDownloadError or BelowFloorError
-    raised again as a fresh exception of the same type and message, is
-    the same as solving anew; the solver in the key
+    solve returns the solver's PlanResult, or None when the solver found
+    no plan (it raised UnboundedDownloadError or BelowFloorError). A
+    solve is a pure function of its solver, instance and floor, so a
+    stored outcome is the same as solving anew; the solver in the key
     keeps exhaustive and DP results apart. An unfloored solve calls
     solver(inst), so the exhaustive solvers, which take no floor, share
     the memo. Callers pass the solver they read from their module at
     call time, so a patched solver is the one that runs.
     retire() starts a planning call: it keeps only the entries the
     previous call touched, so each call sees exactly the previous call's
-    solves, whether or not that call raised.
+    solves, whether or not they found a plan.
 
     Every controller plans through its memo. A single-user controller
     keeps a private one; simulate_multi gives one fresh memo per scenario
@@ -482,22 +484,17 @@ class SolveMemo:
         self._kept: dict = {}
         self._touched: dict = {}
 
-    def solve(self, solver, inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
+    def solve(self, solver, inst: PlanInstance, floor: float = NEG_INF) -> PlanResult | None:
         key = (solver, inst, floor)
-        outcome = self._touched.get(key)
-        if outcome is None:
-            outcome = self._kept.get(key)
-            if outcome is None:
+        outcome = self._touched.get(key, _UNSOLVED)
+        if outcome is _UNSOLVED:
+            outcome = self._kept.get(key, _UNSOLVED)
+            if outcome is _UNSOLVED:
                 try:
                     outcome = solver(inst) if floor == NEG_INF else solver(inst, floor)
-                except (UnboundedDownloadError, BelowFloorError) as exc:
-                    # Keep no traceback: its frames hold the solve's states.
-                    outcome = exc.with_traceback(None)
+                except (UnboundedDownloadError, BelowFloorError):
+                    outcome = None
             self._touched[key] = outcome
-        if isinstance(outcome, Exception):
-            # A fresh exception: a stored one would take a traceback whose
-            # frame holds it, a cycle that only the garbage collector frees.
-            raise type(outcome)(*outcome.args)
         return outcome
 
     def retire(self) -> None:
@@ -652,6 +649,7 @@ class JointMpcController(_PredictingController):
         super().observe_start(trace, state)
         self.previous_satellite = None
         self._last_handoff_chunk = None
+        self.candidate_rows = []
 
     def record_handoff(self, state: PlayerState) -> None:
         """Note a handoff away from state's satellite, decided at its chunk."""
@@ -696,29 +694,24 @@ class JointMpcController(_PredictingController):
         if not visible:
             return Decision(0, cur, False)
         view = self.plan_view(state, trace, visible)
-        stay = view.stay
         solve = partial(self.memo.solve, f_sat_dpmpc)
         if self.dump_candidates:
             # candidates.csv lists every option's exact QoE: no floor.
             def solve(inst, floor=NEG_INF):
                 return self.memo.solve(f_sat_dpmpc, inst)
 
-        options = []
-        try:
-            options.append(PlanOption(cur, None, solve(stay)))
-        except UnboundedDownloadError:
-            pass
-        stats.inner_calls = 1 + len(view.targets) * stay.horizon
-        for cand, link in view.targets.items():
-            # Only an option that beats or ties the best so far can win.
-            floor = max((o.result.best_qoe for o in options), default=NEG_INF)
-            found = handoff_options(stay, cand, link, solve, floor)
-            options += found
-            if self.dump_candidates:
-                self.candidate_rows += [
-                    (state.chunk_index, cand, o.handoff_chunk, o.result.best_qoe)
-                    for o in found
-                ]
+        stay = solve(view.stay)
+        stats.inner_calls = 1 + len(view.targets) * view.stay.horizon
+        # Only an option that beats or ties the best so far can win.
+        handoffs = handoff_options(
+            view.stay, view.targets, solve, NEG_INF if stay is None else stay.best_qoe
+        )
+        if self.dump_candidates:
+            self.candidate_rows += [
+                (state.chunk_index, o.satellite, o.handoff_chunk, o.result.best_qoe)
+                for o in handoffs
+            ]
+        options = handoffs if stay is None else [PlanOption(cur, None, stay), *handoffs]
 
         if not options:
             # Every plan diverged: limp along on the strongest visible signal.
@@ -758,11 +751,10 @@ class SeparateController(_PredictingController):
         chunks = min(self.horizon, self.video.n_chunks - state.chunk_index)
         links, _ = self._predictions(trace, t, [sat], chunks)
         stats = self.last_stats = DecisionStats(inner_calls=1)
-        try:
-            res = self.memo.solve(
-                f_mpc, stay_instance(state, chunks, links[sat], self.video, self.cfg)
-            )
-        except UnboundedDownloadError:
+        res = self.memo.solve(
+            f_mpc, stay_instance(state, chunks, links[sat], self.video, self.cfg)
+        )
+        if res is None:
             return Decision(0, sat, sat != cur)
         # The rule switches satellites before the first chunk, if at all.
         stats.chosen = PlanOption(sat, None if sat == cur else 1, res)

@@ -235,25 +235,21 @@ def slant_range(pass_geom: PassGeometry, t: float) -> float:
     )
 
 
-def elevation_deg(pass_geom: PassGeometry, t: float) -> float:
-    """Elevation angle (degrees) seen from the client at time t."""
+def elevation_deg(pass_geom: PassGeometry, t):
+    """Elevation angle (degrees) seen from the client at time t (a float
+    or an array of times)."""
     along = pass_geom.speed_kms * (t - pass_geom.closest_approach_time)
-    horiz = math.hypot(pass_geom.cross_track_km, along)
-    return math.degrees(math.atan2(pass_geom.altitude_km, horiz))
+    return np.degrees(np.arctan2(pass_geom.altitude_km, np.hypot(pass_geom.cross_track_km, along)))
 
 
-def free_space_throughput(
-    pass_geom: PassGeometry, t: float, cfg: TraceGenConfig, noise: float = 0.0
-) -> float:
-    """Inverse-square throughput (Mbps): scale * peak * (d_min/d_t)^2 + noise.
-
-    Clamped at zero; with zero noise at closest approach this returns
-    ``alpha * b_max``.
+def free_space_throughput(pass_geom: PassGeometry, t, cfg: TraceGenConfig, noise=0.0):
+    """Inverse-square throughput (Mbps) at time t (a float or an array of
+    times): scale * peak * d_min^2 / d_t^2 + noise, clamped at zero; with
+    zero noise at closest approach this returns ``alpha * b_max``.
     """
-    d_t = slant_range(pass_geom, t)
-    d_min = pass_geom.d_min_km
-    value = cfg.alpha * cfg.b_max_mbps * (d_min * d_min) / (d_t * d_t) + noise
-    return max(0.0, value)
+    along = pass_geom.speed_kms * (t - pass_geom.closest_approach_time)
+    d_sq = pass_geom.altitude_km**2 + pass_geom.cross_track_km**2 + along**2
+    return np.maximum(0.0, cfg.alpha * cfg.b_max_mbps * (pass_geom.d_min_km**2) / d_sq + noise)
 
 
 def _pass_half_duration(cfg: TraceGenConfig, cross_track_km: float) -> float:
@@ -331,13 +327,8 @@ def gen_trace_set(cfg: TraceGenConfig) -> TraceSet:
         elev = np.zeros(n)
         fs = np.zeros(n)
         for geom in passes:
-            along = geom.speed_kms * (mid_t - geom.closest_approach_time)
-            horiz = np.hypot(geom.cross_track_km, along)
-            elev_p = np.degrees(np.arctan2(geom.altitude_km, horiz))
-            d_sq = geom.altitude_km**2 + geom.cross_track_km**2 + along**2
-            fs_p = cfg.alpha * cfg.b_max_mbps * (geom.d_min_km**2) / d_sq
-            elev = np.maximum(elev, elev_p)
-            fs = np.maximum(fs, fs_p)
+            elev = np.maximum(elev, elevation_deg(geom, mid_t))
+            fs = np.maximum(fs, free_space_throughput(geom, mid_t, cfg))
         elev = np.round(elev, 6)
         visible = elev >= cfg.min_elevation_deg
         noise = rng.normal(cfg.noise_mean, cfg.noise_std, size=n)

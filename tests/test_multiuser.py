@@ -524,7 +524,8 @@ def test_centralized_dominates_independent_two_user_oracle(video, sim_cfg):
 
 
 class _SolveEvery(SolveMemo):
-    """A memo that keeps nothing: every instance is solved anew."""
+    """A memo that keeps nothing: every instance is solved anew, a solve
+    with no plan returning None as the memo's does."""
 
     __slots__ = ()
 
@@ -612,7 +613,8 @@ def test_lockstep_users_make_half_the_solves(kind, solver, video, sim_cfg, monke
 
 
 class _Unfloored(SolveMemo):
-    """A memo that solves every option in full: it drops the floor."""
+    """A memo that solves every option in full: it drops the floor, so it
+    returns None only for an option whose plans are all unbounded."""
 
     __slots__ = ()
 
@@ -635,12 +637,8 @@ class _FloorLog(SolveMemo):
         self.calls.append([])
 
     def solve(self, solver, inst, floor=-math.inf):
-        try:
-            res = super().solve(solver, inst, floor)
-        except (UnboundedDownloadError, BelowFloorError):
-            self.calls[-1].append((floor, None))
-            raise
-        self.calls[-1].append((floor, res.best_qoe))
+        res = super().solve(solver, inst, floor)
+        self.calls[-1].append((floor, None if res is None else res.best_qoe))
         return res
 
 
@@ -825,25 +823,40 @@ def test_memo_replays_unbounded_outcomes_and_keeps_one_call(video, sim_cfg):
         calls.append(inst)
         raise UnboundedDownloadError("all horizon plans are unbounded")
 
+    def below_floor(inst, floor):
+        calls.append((inst, floor))
+        raise BelowFloorError(f"no plan reaches {floor!r}")
+
     memo = SolveMemo()
     view = _view(0, {0: 4.0}, {0: 4.0}, cur=0, video=video)
     inst = view.stay
     for _ in range(3):
-        with pytest.raises(UnboundedDownloadError, match="unbounded"):
-            memo.solve(unbounded, inst)
-    assert calls == [inst]
+        assert memo.solve(unbounded, inst) is None
+        assert memo.solve(below_floor, inst, 1.0) is None
+    assert calls == [inst, (inst, 1.0)]
+    # The memo stores the outcome None, not the solver's exception.
+    assert list(memo._touched.values()) == [None, None]
 
     # A call keeps what it touched; the call after it drops what it did not.
+    calls.clear()
     memo.retire()
     other = dataclasses.replace(view.stay, current_link=RateSeries.constant(2.0))
-    with pytest.raises(UnboundedDownloadError):
-        memo.solve(unbounded, other)
+    assert memo.solve(unbounded, other) is None
     memo.retire()
-    with pytest.raises(UnboundedDownloadError):
-        memo.solve(unbounded, inst)
-    assert calls == [inst, other, inst]
+    assert memo.solve(unbounded, inst) is None
+    assert calls == [other, inst]
+
+    # Any other error is the caller's: the memo neither stores nor hides it.
+    def failing(inst):
+        calls.append(inst)
+        raise PlanningError("not a plan outcome")
+
+    for _ in range(2):
+        with pytest.raises(PlanningError):
+            memo.solve(failing, inst)
+    assert calls == [other, inst, inst, inst]
 
     # The solver is part of the key: exhaustive and DP results never mix.
     assert memo.solve(f_mpc, inst) == f_mpc(inst)
     assert memo.solve(f_sat_dpmpc, inst) is not memo.solve(f_mpc, inst)
-    assert calls == [inst, other, inst]
+    assert calls == [other, inst, inst, inst]

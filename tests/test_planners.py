@@ -654,6 +654,20 @@ def test_a_controller_runs_a_second_session_as_a_fresh_one(name, video, sim_cfg)
         assert again.breakdown == fresh.breakdown
 
 
+def test_a_reused_controller_lists_only_its_session_candidates(video, sim_cfg):
+    def dumping():
+        return JointMpcController(video, sim_cfg, mode="dual", dump_candidates=True)
+
+    trace = suite_trace(3)
+    reused = dumping()
+    run_session(trace, reused, video, sim_cfg)
+    run_session(trace, reused, video, sim_cfg)
+    fresh = dumping()
+    run_session(trace, fresh, video, sim_cfg)
+    assert fresh.candidate_rows  # the session scores handoff options
+    assert reused.candidate_rows == fresh.candidate_rows
+
+
 def test_dp_and_exhaustive_controllers_agree_closely(video, sim_cfg, monkeypatch):
     trace = suite_trace(1)
     dp_ctrl = JointMpcController(video, dataclasses.replace(sim_cfg, dt_s=0.05), mode="dual")
