@@ -100,6 +100,13 @@ def main(argv=None) -> int:
 
         if args.command == "run":
             exp = _load_experiment(args)
+            silent = [c for c in exp.controllers if c not in harness.JOINT_CONTROLLERS]
+            if exp.dump_candidates and silent:
+                print(
+                    f"warning: no candidate rows for {', '.join(silent)}: "
+                    "only joint controllers list candidates",
+                    file=sys.stderr,
+                )
             output = harness.run_experiment(exp)
             files = harness.write_results(_resolve_out(args), output)
             print(f"wrote {files['csv']} ({len(output.rows)} rows)")

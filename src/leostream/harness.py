@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import simcore
 from .multiuser import (
     CENTRALIZED_USER_CAP,
     CentralizedCoordinator,
@@ -34,9 +35,12 @@ from .simcore import (
     QoEBreakdown,
     SimConfig,
     VideoSpec,
-    run_session,
 )
 from .traces import TraceGenConfig, TraceSet, gen_trace_set, read_trace, write_trace
+
+# Never called here: every cell runs through simulate_multi. The name stays
+# because the benchmark's tracer (perfbench/spans.py) patches it.
+run_session = simcore.run_session
 
 SEPARATE_CONTROLLERS = ("separate:mvt", "separate:mrss", "separate:mb")
 JOINT_CONTROLLERS = ("joint:dual", "joint:manifold")
@@ -319,20 +323,13 @@ def run_cell(
             for _ in range(n_users)
         ]
 
-    if n_users == 1 and exp.background_users == 0 and controller_name != "centralized":
-        session = run_session(trace, controllers[0], video, sim)
-        latencies = list(session.decision_latencies_s)
-        breakdowns = [session.breakdown]
-    else:
-        scenario = MultiUserScenario(
-            trace=trace, controllers=controllers, n_background=exp.background_users
-        )
-        result = simulate_multi(scenario, video, sim, seed=seed)
-        if result.failures:
-            raise RuntimeError(f"user failures: {result.failures}")
-        breakdowns = [b for b in result.per_user if b is not None]
-        latencies = [lat for per_user in result.decision_latencies_s for lat in per_user]
-
+    scenario = MultiUserScenario(
+        trace=trace, controllers=controllers, n_background=exp.background_users
+    )
+    result = simulate_multi(scenario, video, sim, seed=seed)
+    if result.failures:
+        raise RuntimeError(f"user failures: {result.failures}")
+    latencies = [lat for per_user in result.decision_latencies_s for lat in per_user]
     mean_ms = 1000.0 * sum(latencies) / len(latencies) if latencies else 0.0
     candidate_rows = []
     if exp.dump_candidates:
@@ -341,7 +338,7 @@ def run_cell(
                 candidate_rows.append((uid, chunk, sat, h, qoe_val))
     return ResultRow(
         controller_name, exp.predictor, n_users, trace_id, seed,
-        *_breakdown_means(breakdowns), mean_ms,
+        *_breakdown_means(result.per_user), mean_ms,
     ), candidate_rows
 
 

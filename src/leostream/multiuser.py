@@ -4,9 +4,10 @@ Capacity is split equally among the users actively transferring on a
 satellite, after background (non-video) demand has taken its fraction.
 The event loop advances all transfers between breakpoints (trace sample
 edges, background windows, phase changes, chunk completions) where every
-rate is constant, so download progress integrates exactly. With one user
-and no background load the loop performs the same arithmetic as the
-single-user simulator, chunk for chunk, bit for bit.
+rate is constant, so download progress integrates exactly. It is the one
+loop that settles chunks: simcore.run_session and the offline replay run
+one user through it. With one user and no background load each chunk
+comes out as simcore's one-chunk reference settles it, bit for bit.
 """
 
 from __future__ import annotations
@@ -135,11 +136,12 @@ class MultiUserResult:
 class _User:
     # A user in "decide" decides at its state's wallclock. The decision fixes
     # request_t (wallclock, plus the handoff delay on a handoff) and
-    # transfer_pos (request_t + RTT) before the transfer starts.
+    # transfer_pos (request_t + RTT) before the transfer starts. A user in
+    # "transfer" gets its share (rate) and projected finish at every event.
     __slots__ = (
         "uid", "controller", "state", "phase", "request_t",
-        "transfer_pos", "transfer_remaining", "decision", "outcomes",
-        "decisions", "latencies",
+        "transfer_pos", "transfer_remaining", "rate", "finish", "decision",
+        "outcomes", "decisions", "latencies",
     )
 
     def __init__(self, uid: int, controller, state: PlayerState):
@@ -150,6 +152,8 @@ class _User:
         self.request_t = 0.0
         self.transfer_pos = 0.0
         self.transfer_remaining = 0.0
+        self.rate = 0.0
+        self.finish = math.inf
         self.decision: Decision | None = None
         self.outcomes = []
         self.decisions = []
@@ -207,11 +211,11 @@ def simulate_multi(
         if hasattr(controller, "memo"):
             controller.memo = memo
     users = []
-    failures: dict[int, str] = {}
+    errors: dict[int, Exception] = {}  # by user id, in the order users failed
 
     def fail(user: _User, exc: Exception) -> None:
         user.phase = "failed"
-        failures[user.uid] = repr(exc)
+        errors[user.uid] = exc
 
     start = simcore.initial_state(trace, video, cfg)
     for uid, controller in enumerate(scenario.controllers):
@@ -239,44 +243,52 @@ def simulate_multi(
             user.phase = "done" if new_state.chunk_index >= video.n_chunks else "decide"
 
     def cascade(now: float) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for user in users:
-                if user.phase == "decide" and user.state.wallclock_s <= now:
-                    try:
-                        decision = _decide(user, users, trace)
-                        simcore.validate_decision(user.state, decision, video)
-                    except Exception as exc:
-                        fail(user, exc)
-                        continue
-                    user.decision = decision
-                    if decision.handoff_now:
-                        user.request_t = user.state.wallclock_s + cfg.handoff_delay_s
-                    else:
-                        user.request_t = user.state.wallclock_s
-                    user.transfer_pos = user.request_t + cfg.rtt_s
-                    user.phase = "prep"
-                    changed = True
-                elif user.phase == "prep" and user.transfer_pos <= now:
-                    user.phase = "transfer"
-                    user.transfer_remaining = video.chunk_mb(user.decision.bitrate_idx)
-                    changed = True
+        # One pass suffices: whether a user's step is due depends only on
+        # its own clock, never on another user's step.
+        for user in users:
+            if user.phase == "decide" and user.state.wallclock_s <= now:
+                try:
+                    decision = _decide(user, users, trace)
+                    simcore.validate_decision(user.state, decision, video)
+                except Exception as exc:
+                    fail(user, exc)
+                    continue
+                user.decision = decision
+                if decision.handoff_now:
+                    user.request_t = user.state.wallclock_s + cfg.handoff_delay_s
+                else:
+                    user.request_t = user.state.wallclock_s
+                user.transfer_pos = user.request_t + cfg.rtt_s
+                user.phase = "prep"
+            if user.phase == "prep" and user.transfer_pos <= now:
+                user.phase = "transfer"
+                user.transfer_remaining = video.chunk_mb(user.decision.bitrate_idx)
 
     now = 0.0
     for _ in range(MAX_EVENT_ITERATIONS):
         cascade(now)
-        if all(u.phase in ("done", "failed") for u in users):
-            break
-
+        # t_next: the earliest event after now (inf: none). One pass groups
+        # the transfers by satellite and takes the other users' next steps.
+        t_next = math.inf
+        live = False
         active_by_sat: dict[int, list[_User]] = {}
         for user in users:
-            if user.phase == "transfer":
+            phase = user.phase
+            if phase == "transfer":
                 active_by_sat.setdefault(user.decision.target_satellite, []).append(user)
+            elif phase == "decide":
+                if now < user.state.wallclock_s < t_next:
+                    t_next = user.state.wallclock_s
+            elif phase == "prep":
+                if now < user.transfer_pos < t_next:
+                    t_next = user.transfer_pos
+            else:
+                continue  # done or failed
+            live = True
+        if not live:
+            break
 
-        next_candidates: list[float] = []
-        rate_of: dict[int, float] = {}
-        finish_of: dict[int, float] = {}
+        overdue = False
         for sat_id in sorted(active_by_sat):
             members = active_by_sat[sat_id]
             pos = members[0].transfer_pos
@@ -284,8 +296,8 @@ def simulate_multi(
             bg = 0.0 if profile is None else profile.fraction(sat_id, pos)
             active = tuple(u.uid for u in members)
             shares = allocate_shares(capacity, list(active), bg)
-            if seg_end < math.inf:
-                next_candidates.append(seg_end)
+            if now < seg_end < t_next:
+                t_next = seg_end
             # The shares follow from these three, so they need no place here.
             signature = (active, capacity, bg)
             if last_logged.get(sat_id) != signature:
@@ -301,62 +313,44 @@ def simulate_multi(
                     )
                 )
             for user in members:
-                rate = shares[user.uid]
-                rate_of[user.uid] = rate
+                rate = user.rate = shares[user.uid]
                 if rate > 0:
-                    finish_of[user.uid] = (
-                        user.transfer_pos + user.transfer_remaining / rate
-                    )
-                elif seg_end == math.inf:
-                    fail(
-                        user,
-                        simcore.UnboundedDownloadError(
-                            f"zero capacity beyond the trace on satellite {sat_id}"
-                        ),
-                    )
+                    finish = user.finish = user.transfer_pos + user.transfer_remaining / rate
+                    if finish <= now:
+                        overdue = True
+                    elif finish < t_next:
+                        t_next = finish
+                else:
+                    user.finish = math.inf
+                    if seg_end == math.inf:
+                        fail(user, simcore.UnboundedDownloadError.starting_at(user.request_t))
             if profile is not None:
                 bg_edge = profile.next_edge(pos)
-                if bg_edge < math.inf:
-                    next_candidates.append(bg_edge)
+                if now < bg_edge < t_next:
+                    t_next = bg_edge
 
         # A recomputed share can land a finish at or before the current
         # time; settle those downloads before advancing the clock.
-        overdue = [
-            u for u in users
-            if u.phase == "transfer" and finish_of.get(u.uid, math.inf) <= now
-        ]
         if overdue:
-            for user in overdue:
-                complete_chunk(user, finish_of[user.uid])
+            for user in users:
+                if user.phase == "transfer" and user.finish <= now:
+                    complete_chunk(user, user.finish)
             continue
 
-        next_candidates.extend(
-            f for f in finish_of.values() if f < math.inf
-        )
-        for user in users:
-            if user.phase == "decide" and user.state.wallclock_s > now:
-                next_candidates.append(user.state.wallclock_s)
-            elif user.phase == "prep" and user.transfer_pos > now:
-                next_candidates.append(user.transfer_pos)
-
-        future = [t for t in next_candidates if t > now]
-        if not future:
-            stuck = [u for u in users if u.phase not in ("done", "failed")]
-            for user in stuck:
-                fail(user, MultiUserError("simulation stalled"))
+        if t_next == math.inf:
+            for user in users:
+                if user.phase not in ("done", "failed"):
+                    fail(user, MultiUserError("simulation stalled"))
             break
-        t_next = min(future)
 
         for user in users:
             if user.phase != "transfer":
                 continue
-            candidate = finish_of.get(user.uid, math.inf)
-            if candidate == t_next:
-                complete_chunk(user, candidate)
+            if user.finish == t_next:
+                complete_chunk(user, t_next)
                 continue
-            rate = rate_of.get(user.uid, 0.0)
-            if rate > 0:
-                user.transfer_remaining = user.transfer_remaining - rate * (
+            if user.rate > 0:
+                user.transfer_remaining = user.transfer_remaining - user.rate * (
                     t_next - user.transfer_pos
                 )
             user.transfer_pos = t_next
@@ -366,17 +360,17 @@ def simulate_multi(
 
     # The loop ends only with every user done or failed, and a done user
     # has settled every chunk.
+    failures = {uid: repr(exc) for uid, exc in errors.items()}
+    if len(errors) == len(users):
+        raise MultiUserError(f"all users failed: {failures}") from next(iter(errors.values()))
     per_user = [
-        None if user.uid in failures else simcore.session_qoe(user.outcomes, cfg)
+        None if user.uid in errors else simcore.session_qoe(user.outcomes, cfg)
         for user in users
     ]
-    scores = [b.qoe_total for b in per_user if b is not None]
-    if not scores:
-        raise MultiUserError(f"all users failed: {failures}")
     return MultiUserResult(
         per_user=per_user,
         failures=failures,
-        qos=simcore.qos(scores),
+        qos=simcore.qos(b.qoe_total for b in per_user if b is not None),
         share_events=share_events,
         decisions=[tuple(u.decisions) for u in users],
         decision_latencies_s=[tuple(u.latencies) for u in users],

@@ -472,10 +472,12 @@ class SolveMemo:
     previous call touched, so each call sees exactly the previous call's
     solves, whether or not they found a plan.
 
-    Every controller plans through its memo. A single-user controller
-    keeps a private one; simulate_multi gives one fresh memo per scenario
-    to all its controllers, so users that decide at the same instant from
-    the same state (lockstep users) solve each instance once.
+    Every controller plans through its memo. simulate_multi, which runs
+    every session (run_session too), gives one fresh memo per scenario to
+    all its controllers, so users that decide at the same instant from
+    the same state (lockstep users) solve each instance once. The memo a
+    controller builds for itself serves only decide calls made outside a
+    session.
     """
 
     __slots__ = ("_kept", "_touched")
@@ -523,7 +525,8 @@ class _PredictingController:
 
     def observe_start(self, trace: TraceSet, state: PlayerState) -> None:
         """Start a session: forget the last session's observations. The
-        memo stays, as simulate_multi sets it before this call."""
+        memo stays: simulate_multi, which runs every session, sets it
+        before this call."""
         if self.bank is not None:
             self.bank = PredictorBank()
             self.bank.observe_epoch(trace, 0.0)
@@ -887,12 +890,15 @@ def offline_optimal_plan(
     return decisions, best_q
 
 
+class _Script:
+    """A controller that plays a fixed list of decisions, one per chunk."""
+
+    def __init__(self, decisions: list[Decision]):
+        self.decide = lambda state, trace, plays=iter(decisions): next(plays)
+        self.observe_start = self.observe_chunk = lambda *observed: None
+
+
 def offline_optimal(trace: TraceSet, video: VideoSpec, cfg: SimConfig) -> QoEBreakdown:
     """Best achievable session QoE under full trace knowledge (DP, then replay)."""
     decisions, _ = offline_optimal_plan(trace, video, cfg)
-    state = simcore.initial_state(trace, video, cfg)
-    outcomes = []
-    for decision in decisions:
-        state, outcome = simcore.step_chunk(state, decision, trace, video, cfg)
-        outcomes.append(outcome)
-    return simcore.session_qoe(outcomes, cfg)
+    return simcore.run_session(trace, _Script(decisions), video, cfg).breakdown

@@ -1,16 +1,18 @@
-"""Chunk-by-chunk playback simulation and QoE accounting.
+"""Playback state, chunk settlement and QoE accounting.
 
 One session downloads a fixed ladder video chunk by chunk over a
-time-varying satellite link. Each step charges an optional handoff delay,
+time-varying satellite link. Each chunk charges an optional handoff delay,
 one link RTT, and the transfer time obtained by integrating the
 piecewise-constant trace, then updates the playback buffer and the three
 QoE terms (quality reward, rebuffer penalty, smoothness penalty).
+
+The event loop in multiuser.simulate_multi is the one loop that settles
+chunks: run_session is its one-user, no-background case.
 """
 
 from __future__ import annotations
 
 import math
-import time as _time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,10 @@ class SimulationError(RuntimeError):
 
 class UnboundedDownloadError(SimulationError):
     """A download can never finish: zero throughput past the end of the trace."""
+
+    @classmethod
+    def starting_at(cls, start_t: float) -> "UnboundedDownloadError":
+        return cls(f"zero throughput beyond the end of the trace (download from t={start_t:.3f})")
 
 
 @dataclass(frozen=True)
@@ -327,9 +333,7 @@ def piecewise_download(
         return rtt_s
     wait = piecewise_downloads(series, start_t, (size_mb,), rtt_s)[0]
     if wait is None:
-        raise UnboundedDownloadError(
-            f"zero throughput beyond the end of the trace (download from t={start_t:.3f})"
-        )
+        raise UnboundedDownloadError.starting_at(start_t)
     return wait
 
 
@@ -362,14 +366,6 @@ def chunk_qoe(
     )
 
 
-def download_time(
-    trace: TraceSet, sat_id: int, start_t: float, chunk_mb: float, cfg: SimConfig
-) -> float:
-    return piecewise_download(
-        RateSeries.for_satellite(trace, sat_id), start_t, chunk_mb, cfg.rtt_s
-    )
-
-
 def validate_decision(state: PlayerState, decision: Decision, video: VideoSpec) -> None:
     if state.chunk_index >= video.n_chunks:
         raise SimulationError("session already complete")
@@ -388,8 +384,8 @@ def apply_chunk(
 ) -> tuple[PlayerState, ChunkOutcome]:
     """Buffer, wallclock and QoE bookkeeping once the download time is known.
 
-    Shared by the single-user stepper and the multi-user event loop so
-    both settle a chunk with identical arithmetic.
+    Shared by the event loop of multiuser.simulate_multi and its one-chunk
+    reference, so both settle a chunk with identical arithmetic.
     """
     handoff = decision.handoff_now
     wait = cfg.handoff_delay_s + download_time_s if handoff else download_time_s
@@ -433,15 +429,15 @@ def step_chunk(
     video: VideoSpec,
     cfg: SimConfig,
 ) -> tuple[PlayerState, ChunkOutcome]:
-    """Download one chunk and advance the player state."""
+    """Download one chunk and advance the player state: the one-chunk
+    reference the event loop of multiuser.simulate_multi is tested against."""
     validate_decision(state, decision, video)
     if decision.handoff_now:
         start_t = state.wallclock_s + cfg.handoff_delay_s
     else:
         start_t = state.wallclock_s
-    dl = download_time(
-        trace, decision.target_satellite, start_t, video.chunk_mb(decision.bitrate_idx), cfg
-    )
+    series = RateSeries.for_satellite(trace, decision.target_satellite)
+    dl = piecewise_download(series, start_t, video.chunk_mb(decision.bitrate_idx), cfg.rtt_s)
     return apply_chunk(state, decision, dl, video, cfg)
 
 
@@ -511,28 +507,22 @@ class SessionResult:
 def run_session(
     trace: TraceSet, controller, video: VideoSpec, cfg: SimConfig
 ) -> SessionResult:
-    """Drive one client session: controller decides, simulator steps.
+    """Drive one client session: simulate_multi with this controller as its
+    only user and no background load.
 
     The controller must provide decide(state, trace) -> Decision plus the
-    observe_start / observe_chunk hooks used to feed its predictors.
+    observe_start / observe_chunk hooks used to feed its predictors. A
+    failed session raises multiuser.MultiUserError, chained to the
+    controller's or the simulator's exception.
     """
-    state = initial_state(trace, video, cfg)
-    controller.observe_start(trace, state)
-    outcomes = []
-    decisions = []
-    latencies = []
-    for _ in range(video.n_chunks):
-        t0 = _time.perf_counter()
-        decision = controller.decide(state, trace)
-        latencies.append(_time.perf_counter() - t0)
-        state, outcome = step_chunk(state, decision, trace, video, cfg)
-        controller.observe_chunk(trace, state, outcome)
-        outcomes.append(outcome)
-        decisions.append(decision)
+    # Imported here: multiuser imports planners, which imports this module.
+    from .multiuser import MultiUserScenario, simulate_multi
+
+    result = simulate_multi(MultiUserScenario(trace, [controller]), video, cfg)
     return SessionResult(
-        breakdown=session_qoe(outcomes, cfg),
-        decisions=tuple(decisions),
-        decision_latencies_s=tuple(latencies),
+        breakdown=result.per_user[0],
+        decisions=result.decisions[0],
+        decision_latencies_s=result.decision_latencies_s[0],
     )
 
 
@@ -601,7 +591,6 @@ __all__ = [
     "piecewise_downloads_many",
     "settle_chunk",
     "chunk_qoe",
-    "download_time",
     "validate_decision",
     "apply_chunk",
     "step_chunk",

@@ -1,8 +1,17 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from leostream.simcore import SimConfig, VideoSpec
+from leostream.simcore import (
+    SessionResult,
+    SimConfig,
+    VideoSpec,
+    initial_state,
+    session_qoe,
+    step_chunk,
+)
 from leostream.traces import SatelliteTrack, TraceGenConfig, TraceSet, gen_trace_set
 
 # Frozen contention-suite parameters: two satellites with crossing ~65 s
@@ -47,6 +56,30 @@ def make_flat_trace(rates_mbps, duration_s=200.0, sample_dt=1.0, visible=None):
 
 def suite_trace(seed: int) -> TraceSet:
     return gen_trace_set(TraceGenConfig(seed=seed, **SUITE_KWARGS))
+
+
+def reference_session(trace, controller, video, cfg) -> SessionResult:
+    """One session stepped chunk by chunk through step_chunk, with no event
+    loop: the reference the one-user runs of simulate_multi must equal.
+    A failed session raises the controller's or step_chunk's exception."""
+    state = initial_state(trace, video, cfg)
+    controller.observe_start(trace, state)
+    outcomes = []
+    decisions = []
+    latencies = []
+    for _ in range(video.n_chunks):
+        t0 = time.perf_counter()
+        decision = controller.decide(state, trace)
+        latencies.append(time.perf_counter() - t0)
+        state, outcome = step_chunk(state, decision, trace, video, cfg)
+        controller.observe_chunk(trace, state, outcome)
+        outcomes.append(outcome)
+        decisions.append(decision)
+    return SessionResult(
+        breakdown=session_qoe(outcomes, cfg),
+        decisions=tuple(decisions),
+        decision_latencies_s=tuple(latencies),
+    )
 
 
 @pytest.fixture(scope="session")

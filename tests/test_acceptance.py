@@ -37,7 +37,7 @@ from leostream.simcore import (
 )
 from leostream.traces import inject_obstructions
 
-from conftest import SUITE_SEEDS, make_flat_trace, suite_trace
+from conftest import SUITE_SEEDS, make_flat_trace, reference_session, suite_trace
 
 ONLINE_CONTROLLERS = (
     "joint:dual",
@@ -254,7 +254,7 @@ def test_criterion_07_capacity_conservation(suite, video, sim_cfg):
 def test_criterion_08_single_user_degeneracy(video, sim_cfg):
     for seed in SUITE_SEEDS:
         trace = suite_trace(seed)
-        solo = run_session(
+        solo = reference_session(
             trace, _controller("joint:dual", video, sim_cfg, "robust"), video, sim_cfg
         )
         multi = simulate_multi(

@@ -446,6 +446,28 @@ def test_dump_candidates_output(tmp_path):
     assert len(lines) > 1
 
 
+def test_dump_candidates_warns_for_controllers_without_candidates(tmp_path, capsys):
+    cfg_path = _write_config(
+        tmp_path, controllers=["separate:mb", "joint:dual", "centralized"], repetitions=1
+    )
+    out = tmp_path / "cands"
+    assert main(["run", "--config", str(cfg_path), "--out", str(out),
+                 "--dump-candidates"]) == 0
+    err = capsys.readouterr().err
+    assert err == (
+        "warning: no candidate rows for separate:mb, centralized: "
+        "only joint controllers list candidates\n"
+    )
+    assert {row.controller for row in read_result_rows(out / "results.csv")} == {
+        "separate:mb", "joint:dual", "centralized"
+    }
+    # Without --dump-candidates, or with joint controllers only, no warning.
+    assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert main(["run", "--config", str(cfg_path), "--out", str(out), "--dump-candidates",
+                 "--controller", "joint:dual", "--controller", "joint:manifold"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_extended_ladder_config(tmp_path):
     cfg = config_from_dict(_config_dict(video={"n_chunks": 8, "ladder": "extended"}))
     assert cfg.video.bitrate_ladder_mbps == (0.3, 0.75, 1.2, 1.85, 2.85, 4.3)

@@ -43,7 +43,7 @@ from leostream.simcore import (
 )
 from leostream.traces import TraceGenConfig, gen_trace_set, inject_obstructions
 
-from conftest import make_flat_trace, suite_trace
+from conftest import make_flat_trace, reference_session, suite_trace
 
 
 def test_allocate_equal_split():
@@ -95,7 +95,7 @@ def test_background_profile_deterministic():
 
 def test_single_user_degeneracy_bit_for_bit(video, sim_cfg):
     trace = suite_trace(3)
-    single = run_session(
+    single = reference_session(
         trace, JointMpcController(video, sim_cfg, mode="dual"), video, sim_cfg
     )
     scenario = MultiUserScenario(
@@ -156,12 +156,13 @@ def test_single_user_degeneracy_on_generated_traces(case):
 
     scenario = MultiUserScenario(trace=trace, controllers=[controller()], n_background=0)
     try:
-        single = run_session(trace, controller(), video, sim)
+        single = reference_session(trace, controller(), video, sim)
     except UnboundedDownloadError:
         # A session that outlasts a trace ending in zero throughput fails
-        # in both loops.
-        with pytest.raises(MultiUserError, match="UnboundedDownloadError"):
+        # in both: the loop fails its only user and raises from that error.
+        with pytest.raises(MultiUserError, match="UnboundedDownloadError") as failed:
             simulate_multi(scenario, video, sim, seed=0)
+        assert isinstance(failed.value.__cause__, UnboundedDownloadError)
         return
     multi = simulate_multi(scenario, video, sim, seed=0)
     assert multi.failures == {}
@@ -687,13 +688,18 @@ def test_floored_joint_decisions_match_solving_in_full(mode, video6, sim_cfg):
             ctrl.memo = memo
             choices = _Choices(ctrl)
             result = run_session(trace, choices, video6, sim_cfg)
+            assert ctrl.memo is memo
             runs.append((result.decisions, result.breakdown, choices.chosen))
             logs.append(getattr(memo, "calls", None))
         assert runs[0] == runs[1] == runs[2]
+        # The loop gives every controller with a memo its own; _Choices
+        # takes that one, so ctrl keeps the memo set here, and each log
+        # holds one planning call per decision.
+        floored, _, dumped = logs
+        assert len(floored) == len(dumped) == len(runs[0][0])
         # The stay is solved in full and each handoff option above the
         # best option solved before it in the same decision; dumping
         # candidates solves every option in full.
-        floored, _, dumped = logs
         for solves in floored:
             best = -math.inf
             for floor, qoe in solves:

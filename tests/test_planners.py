@@ -36,6 +36,7 @@ from leostream.simcore import (
     initial_state,
     piecewise_download,
     run_session,
+    session_qoe,
     settle_chunk,
     step_chunk,
 )
@@ -787,15 +788,21 @@ def test_offline_optimal_flat_rich_link_all_max(sim_cfg):
     assert all(oc.bitrate_mbps == 2.85 for oc in breakdown.per_chunk)
 
 
+def _step_replay(trace, video, cfg, decisions):
+    """The session of a fixed decision list, stepped chunk by chunk."""
+    state = initial_state(trace, video, cfg)
+    outcomes = []
+    for decision in decisions:
+        state, outcome = step_chunk(state, decision, trace, video, cfg)
+        outcomes.append(outcome)
+    return session_qoe(outcomes, cfg)
+
+
 def test_offline_plan_value_matches_replay(video, sim_cfg):
     trace = suite_trace(2)
     decisions, value = offline_optimal_plan(trace, video, sim_cfg)
-    state = initial_state(trace, video, sim_cfg)
-    total = 0.0
-    for decision in decisions:
-        state, outcome = step_chunk(state, decision, trace, video, sim_cfg)
-        total += outcome.qoe_quality - outcome.qoe_rebuf_penalty - outcome.qoe_smooth_penalty
-    assert total == pytest.approx(value, abs=1e-9)
+    replay = _step_replay(trace, video, sim_cfg, decisions)
+    assert replay.qoe_total == pytest.approx(value, abs=1e-9)
 
 
 def test_true_future_plans_never_lose_to_estimated_plans(video, sim_cfg):
@@ -942,6 +949,9 @@ def _relabelled(trace, sat_ids):
 @example((make_flat_trace([1.0] * 3, duration_s=8.0), VideoSpec(n_chunks=8), SimConfig(dt_s=0.25)))
 @example((make_flat_trace([20.0, 20.0], duration_s=30.0), VideoSpec(n_chunks=8),
           SimConfig(max_buffer_s=math.inf)))
+# The buffer reaches its 6 s cap from chunk 4 on: the replay drains it.
+@example((make_flat_trace([20.0, 20.0], duration_s=30.0), VideoSpec(n_chunks=8),
+          SimConfig(max_buffer_s=6.0)))
 def test_offline_dp_matches_scalar_reference(case):
     trace, video, cfg = case
     decisions, value = offline_optimal_plan(trace, video, cfg)
@@ -949,6 +959,9 @@ def test_offline_dp_matches_scalar_reference(case):
     assert decisions == ref_decisions
     assert value.hex() == ref_value.hex()
     assert all(type(d.bitrate_idx) is int and type(d.target_satellite) is int for d in decisions)
+    # offline_optimal replays the plan as a session: every chunk and total
+    # as step_chunk settles them, bit for bit.
+    assert offline_optimal(trace, video, cfg) == _step_replay(trace, video, cfg, decisions)
 
 
 @pytest.mark.parametrize("dt", [1e-12, 1e-20])

@@ -15,7 +15,6 @@ from leostream.simcore import (
     UnboundedDownloadError,
     VideoSpec,
     chunk_qoe,
-    download_time,
     initial_state,
     piecewise_download,
     piecewise_downloads,
@@ -115,12 +114,14 @@ def test_rate_series_equality_is_by_value():
 def test_download_time_flat(sim_cfg):
     trace = make_flat_trace([10.0], duration_s=60.0)
     # 2.85 Mbps x 2 s = 5.7 Mb at 10 Mbps, plus one 80 ms RTT.
-    assert download_time(trace, 0, 0.0, 5.7, sim_cfg) == pytest.approx(0.65)
+    series = RateSeries.for_satellite(trace, 0)
+    assert piecewise_download(series, 0.0, 5.7, sim_cfg.rtt_s) == pytest.approx(0.65)
 
 
 def test_download_time_zero_size(sim_cfg):
     trace = make_flat_trace([10.0], duration_s=60.0)
-    assert download_time(trace, 0, 3.0, 0.0, sim_cfg) == sim_cfg.rtt_s
+    series = RateSeries.for_satellite(trace, 0)
+    assert piecewise_download(series, 3.0, 0.0, sim_cfg.rtt_s) == sim_cfg.rtt_s
 
 
 def test_download_time_piecewise():
@@ -132,7 +133,8 @@ def test_download_time_piecewise():
 def test_download_time_extrapolates_final_sample(sim_cfg):
     trace = make_flat_trace([4.0], duration_s=10.0)
     # 80 Mb needs 20 s at 4 Mbps; the 10 s trace's final rate extends.
-    assert download_time(trace, 0, 0.0, 80.0, sim_cfg) == pytest.approx(20.0 + 0.08)
+    series = RateSeries.for_satellite(trace, 0)
+    assert piecewise_download(series, 0.0, 80.0, sim_cfg.rtt_s) == pytest.approx(20.0 + 0.08)
 
 
 def test_download_unbounded_error():
