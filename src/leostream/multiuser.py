@@ -29,7 +29,8 @@ from .planners import (
     SolveMemo,
     UserPlanView,
     f_sat_dpmpc,
-    handoff_options,
+    handoff_instances,
+    solve_options,
 )
 from .simcore import (
     Decision,
@@ -415,14 +416,15 @@ def _best_option(
     view: UserPlanView, target: int, scale_cur: float, scale_target: float, solve
 ) -> PlanOption | None:
     """Best option for one user given a target satellite assignment, None
-    when every plan is unbounded. handoff_options solves each handoff
-    point only above the best point before it."""
+    when every plan is unbounded. Staying is one option; handing off to
+    another target is one option per handoff point, which solve_options
+    takes best-first, each point above the best point solved before it."""
     stay = replace(view.stay, current_link=view.stay.current_link.scaled(scale_cur))
     if target == view.current_satellite:
-        res = solve(stay)
-        return None if res is None else PlanOption(target, None, res)
-    link = view.targets[target].scaled(scale_target)
-    return max(handoff_options(stay, {target: link}, solve), key=PlanOption.rank, default=None)
+        options = [(target, stay)]
+    else:
+        options = handoff_instances(stay, {target: view.targets[target].scaled(scale_target)})
+    return max(solve_options(options, solve), key=PlanOption.rank, default=None)
 
 
 def centralized_mpc_decide(

@@ -47,7 +47,15 @@ class PlanningError(RuntimeError):
 
 
 class BelowFloorError(Exception):
-    """No plan of a floored DP solve reaches its floor (f_sat_dpmpc)."""
+    """No plan of a floored DP solve reaches its floor (f_sat_dpmpc).
+
+    states_visited counts the states the solve kept before it ran dry, as
+    PlanResult.states_visited counts those of a solve that returns.
+    """
+
+    def __init__(self, message: str, states_visited: int | None = None):
+        super().__init__(message)
+        self.states_visited = states_visited
 
 
 @dataclass(frozen=True)
@@ -89,7 +97,8 @@ class PlanResult:
 def stay_instance(
     state: PlayerState, horizon: int, link: RateSeries, video: VideoSpec, cfg: SimConfig
 ) -> PlanInstance:
-    """The no-handoff instance from state on link; handoff_options derives the rest."""
+    """The no-handoff instance from state on link; handoff_instances
+    derives a decision's other options from it."""
     return PlanInstance(
         horizon=horizon,
         buffer_s=state.buffer_s,
@@ -260,13 +269,14 @@ def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
 
     floor asks only for a plan scoring >= floor: the result is the
     unbounded DP's, bit for bit, when its best plan reaches floor, and
-    BelowFloorError is raised otherwise. The default floor prunes
-    nothing. A state is not expanded when its QoE, plus mu1 times the
-    top rung added once per chunk left in the horizon, is below floor.
-    No chunk scores more than mu1 times the top rung (the weights are
-    >= 0) and rounded addition is monotone, so that sum bounds every plan
-    through the state: every state on the path of a plan scoring >= floor
-    is expanded, with the values the unbounded DP gives it.
+    BelowFloorError, with the states kept so far, is raised otherwise.
+    The default floor prunes nothing. A state is not expanded when its
+    QoE, plus mu1 times the top rung added once per chunk left in the
+    horizon, is below floor. No chunk scores more than mu1 times the top
+    rung (the weights are >= 0) and rounded addition is monotone, so that
+    sum bounds every plan through the state: every state on the path of a
+    plan scoring >= floor is expanded, with the values the unbounded DP
+    gives it.
 
     A merge keeps the child with the highest QoE and, on an exact tie,
     the one with the earlier clock, then the fuller buffer, then the
@@ -313,7 +323,7 @@ def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
                     new_stage[new_key] = (new_q, new_t, new_buf, key)
         if not new_stage:
             if skipped:
-                raise BelowFloorError(f"no plan reaches {floor!r}")
+                raise BelowFloorError(f"no plan reaches {floor!r}", visited)
             raise UnboundedDownloadError("all horizon plans are unbounded")
         stages.append(new_stage)
         stage = new_stage
@@ -321,7 +331,7 @@ def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
 
     best_q = max(v[0] for v in stage.values())
     if best_q < floor:
-        raise BelowFloorError(f"no plan reaches {floor!r}")
+        raise BelowFloorError(f"no plan reaches {floor!r}", visited)
     tied = [key for key, v in stage.items() if v[0] == best_q]
     best_plan = max(_reconstruct(stages, key) for key in tied)
     return PlanResult(best_q, best_plan, states_visited=visited)
@@ -433,25 +443,56 @@ class PlanOption:
         return Decision(self.result.first_bitrate_idx, current, False)
 
 
-def handoff_options(
-    stay: PlanInstance, targets: dict[int, RateSeries], solve, floor: float = NEG_INF
-) -> list[PlanOption]:
-    """Every handoff that scores >= floor, onto each target in turn: stay
-    solved with the handoff at each h in [1, stay.horizon] by
-    solve(instance, floor), which returns None when no plan is bounded
-    or reaches floor. One running floor, raised to each option's QoE as
-    it is found, carries across targets and points, so an option is
-    dropped only when the caller's floor or an earlier option beats it:
-    the best option by PlanOption.rank, and every option that ties with
-    it, is kept."""
-    options = []
-    for target, link in targets.items():
-        for h in range(1, stay.horizon + 1):
-            res = solve(replace(stay, handoff_chunk=h, target_link=link), floor)
-            if res is not None:
-                options.append(PlanOption(target, h, res))
-                floor = max(floor, res.best_qoe)
-    return options
+def handoff_instances(
+    stay: PlanInstance, targets: dict[int, RateSeries]
+) -> list[tuple[int, PlanInstance]]:
+    """stay with one handoff, as (target, instance): onto each target in
+    turn, at each h in [1, stay.horizon]."""
+    return [
+        (target, replace(stay, handoff_chunk=h, target_link=link))
+        for target, link in targets.items()
+        for h in range(1, stay.horizon + 1)
+    ]
+
+
+def _incumbent(inst: PlanInstance) -> float:
+    """The best evaluate_plan value over inst's constant-rung plans, -inf
+    when all of them are unbounded."""
+    best = NEG_INF
+    for rate_idx in range(len(inst.video.bitrate_ladder_mbps)):
+        try:
+            best = max(best, evaluate_plan(inst, (rate_idx,) * inst.horizon))
+        except UnboundedDownloadError:
+            pass
+    return best
+
+
+def solve_options(options: list[tuple[int, PlanInstance]], solve) -> list[PlanOption]:
+    """Every option, given as (satellite, instance), that scores >= the
+    running floor, in the given order.
+
+    solve(instance, floor) returns None when no plan is bounded or
+    reaches floor. Options are solved best-first: by their incumbent
+    (_incumbent) in descending order, a stable sort, so ties keep the
+    given order. The first is solved in full and each later one above
+    the best QoE found so far, so an option is dropped only when an
+    option solved before it beats it: the best option by
+    PlanOption.rank, and every option that ties with it, is kept
+    whatever the order. A lone option is solved as given.
+    """
+    floor = NEG_INF
+    order = range(len(options))
+    if len(options) > 1:
+        incumbents = [_incumbent(inst) for _, inst in options]
+        order = sorted(order, key=lambda i: -incumbents[i])
+    solved = {}
+    for i in order:
+        satellite, inst = options[i]
+        res = solve(inst, floor)
+        if res is not None:
+            solved[i] = PlanOption(satellite, inst.handoff_chunk, res)
+            floor = max(floor, res.best_qoe)
+    return [solved[i] for i in sorted(solved)]
 
 
 _UNSOLVED = object()  # a memo miss: None is a stored outcome
@@ -622,10 +663,13 @@ class JointMpcController(_PredictingController):
     """Receding-horizon joint bitrate and handoff planner.
 
     mode selects the candidate rule (dual or manifold); every option is
-    solved by the grid DP. The stay option is solved in full, and each
-    handoff option only above the best option found before it (the DP's
-    floor), so an option that cannot win or tie is not solved in full;
-    with dump_candidates every option is solved in full. Only the first
+    solved by the grid DP. One solve_options call takes the stay and
+    every (candidate, handoff point) option best-first: the most
+    promising option is solved in full and each later one only above the
+    best option found before it (the DP's floor), so an option that
+    cannot win or tie is not solved in full, and a stay on a setting
+    satellite can end below the floor a handoff sets. With
+    dump_candidates every option is solved in full. Only the first
     action of the winning horizon plan is executed; a handoff happens
     only when the winner switches before the immediate chunk.
     """
@@ -703,18 +747,15 @@ class JointMpcController(_PredictingController):
             def solve(inst, floor=NEG_INF):
                 return self.memo.solve(f_sat_dpmpc, inst)
 
-        stay = solve(view.stay)
-        stats.inner_calls = 1 + len(view.targets) * view.stay.horizon
-        # Only an option that beats or ties the best so far can win.
-        handoffs = handoff_options(
-            view.stay, view.targets, solve, NEG_INF if stay is None else stay.best_qoe
-        )
+        instances = [(cur, view.stay), *handoff_instances(view.stay, view.targets)]
+        stats.inner_calls = len(instances)
+        options = solve_options(instances, solve)
         if self.dump_candidates:
             self.candidate_rows += [
                 (state.chunk_index, o.satellite, o.handoff_chunk, o.result.best_qoe)
-                for o in handoffs
+                for o in options
+                if o.handoff_chunk is not None
             ]
-        options = handoffs if stay is None else [PlanOption(cur, None, stay), *handoffs]
 
         if not options:
             # Every plan diverged: limp along on the strongest visible signal.

@@ -624,8 +624,9 @@ class _Unfloored(SolveMemo):
 
 
 class _FloorLog(SolveMemo):
-    """A memo that logs, per planning call, each solve's floor and QoE
-    (None when the solve found no plan)."""
+    """A memo that logs, per planning call and in solve order, each
+    solve's handoff chunk (None for the stay), floor and QoE (None when
+    the solve found no plan)."""
 
     __slots__ = ("calls",)
 
@@ -639,7 +640,7 @@ class _FloorLog(SolveMemo):
 
     def solve(self, solver, inst, floor=-math.inf):
         res = super().solve(solver, inst, floor)
-        self.calls[-1].append((floor, None if res is None else res.best_qoe))
+        self.calls[-1].append((inst.handoff_chunk, floor, None if res is None else res.best_qoe))
         return res
 
 
@@ -662,11 +663,19 @@ class _Choices:
         return decision
 
 
+def _setting_trace():
+    """Satellite 0, the faster, sets at 60 s: inside the horizon of the
+    decisions before it, its stay scores below handing off to satellite 1."""
+    n = 200
+    return make_flat_trace([3.0, 2.0], visible=[[i < 60 for i in range(n)], [True] * n])
+
+
 def _floor_traces():
-    """Suite traces on which the planners hand off, and flat equal-rate
-    traces, whose options tie exactly."""
+    """Suite traces on which the planners hand off, flat equal-rate
+    traces, whose options tie exactly, and a serving satellite that sets."""
     n = 200
     return [
+        _setting_trace(),
         suite_trace(1),
         suite_trace(3),
         make_flat_trace([4.0, 4.0, 4.0]),
@@ -681,7 +690,8 @@ def _floor_traces():
 
 @pytest.mark.parametrize("mode", ["dual", "manifold"])
 def test_floored_joint_decisions_match_solving_in_full(mode, video6, sim_cfg):
-    for trace in _floor_traces():
+    traces = _floor_traces()
+    for trace in traces:
         runs, logs = [], []
         for memo, dump in ((_FloorLog(), False), (_Unfloored(), False), (_FloorLog(), True)):
             ctrl = JointMpcController(video6, sim_cfg, mode=mode, dump_candidates=dump)
@@ -697,16 +707,23 @@ def test_floored_joint_decisions_match_solving_in_full(mode, video6, sim_cfg):
         # holds one planning call per decision.
         floored, _, dumped = logs
         assert len(floored) == len(dumped) == len(runs[0][0])
-        # The stay is solved in full and each handoff option above the
-        # best option solved before it in the same decision; dumping
-        # candidates solves every option in full.
+        # Options are solved best-first: the first in full and each later
+        # one above the best option solved before it in the same
+        # decision; dumping candidates solves every option in full.
         for solves in floored:
             best = -math.inf
-            for floor, qoe in solves:
+            for _, floor, qoe in solves:
                 assert floor == best
                 if qoe is not None:
                     best = max(best, qoe)
-        assert all(floor == -math.inf for solves in dumped for floor, _ in solves)
+        assert all(floor == -math.inf for solves in dumped for _, floor, _ in solves)
+        if trace is traces[0]:
+            # Before satellite 0 sets, some decision solves a handoff
+            # first, and the stay then ends below the floor it sets.
+            assert any(
+                solves[0][0] is not None and any(h is None and q is None for h, _, q in solves)
+                for solves in floored
+            )
 
 
 def test_floored_centralized_decisions_match_solving_in_full(video6, sim_cfg):

@@ -21,9 +21,11 @@ from leostream.planners import (
     f_mpc,
     f_sat_dpmpc,
     f_sat_mpc,
+    handoff_instances,
     offline_optimal,
     offline_optimal_plan,
     select_candidates,
+    solve_options,
 )
 from leostream.simcore import (
     Decision,
@@ -299,8 +301,19 @@ def test_dp_floor_returns_the_unbounded_plan_or_below_floor(inst, dt, gap):
             ), floor
             assert res.states_visited <= full.states_visited
         else:
-            with pytest.raises(BelowFloorError):
+            with pytest.raises(BelowFloorError) as below:
                 f_sat_dpmpc(inst, floor)
+            assert 0 <= below.value.states_visited <= full.states_visited
+
+
+def test_below_floor_error_counts_the_states_kept(video6, sim_cfg):
+    inst = _instance(video6, sim_cfg, buffer_s=8.0, cur=6.0, new=4.0, h=3)
+    full = f_sat_dpmpc(inst)
+    with pytest.raises(BelowFloorError) as below:
+        f_sat_dpmpc(inst, math.nextafter(full.best_qoe, math.inf))
+    # The solve ran dry after keeping states: work the caller sees no
+    # PlanResult for.
+    assert 0 < below.value.states_visited <= full.states_visited
 
 
 def test_dp_floor_keeps_the_unbounded_tie_break():
@@ -979,3 +992,72 @@ def test_offline_dp_fine_grid_keys_match_scalar_reference(sim_cfg, dt):
     video, cfg = VideoSpec(n_chunks=4), dataclasses.replace(sim_cfg, dt_s=dt)
     for trace in (suite_trace(4), stepped):
         assert offline_optimal_plan(trace, video, cfg) == _scalar_offline_plan(trace, video, cfg)
+
+
+@st.composite
+def _option_sets(draw):
+    """A stay instance and its handoff targets. A link is flat, at one of
+    three rates, so options often tie exactly, or ends in a zero tail: a
+    cliff that leaves some plans unbounded."""
+
+    def link():
+        if draw(st.booleans()):
+            return RateSeries.constant(draw(st.sampled_from((1.0, 2.0, 4.0))))
+        rates = draw(st.lists(st.integers(1, 16).map(lambda k: k / 2), min_size=1, max_size=8))
+        return RateSeries(0.0, draw(st.sampled_from((0.5, 1.0))), [*rates, 0.0])
+
+    video = VideoSpec()
+    stay = PlanInstance(
+        horizon=draw(st.integers(1, 4)),
+        buffer_s=draw(st.integers(0, 16)) / 2,
+        last_bitrate_idx=draw(st.integers(0, len(video.bitrate_ladder_mbps) - 1)),
+        start_t=draw(st.integers(0, 4)) / 2,
+        handoff_chunk=None,
+        current_link=link(),
+        target_link=None,
+        video=video,
+        sim=SimConfig(max_buffer_s=draw(st.sampled_from((8.0, 60.0)))),
+    )
+    sats = draw(st.lists(st.integers(1, 4), max_size=2, unique=True))
+    return stay, {sat: link() for sat in sats}
+
+
+def _solved(inst, floor=-math.inf):
+    try:
+        return f_sat_dpmpc(inst, floor)
+    except (UnboundedDownloadError, BelowFloorError):
+        return None
+
+
+@settings(max_examples=300)
+@given(_option_sets())
+def test_best_first_options_choose_the_option_solving_all_in_full_chooses(option_set):
+    stay, targets = option_set
+    instances = [(0, stay), *handoff_instances(stay, targets)]
+    log = []
+
+    def solve(inst, floor):
+        res = _solved(inst, floor)
+        log.append((floor, None if res is None else res.best_qoe))
+        return res
+
+    def chosen(options):
+        best = max(options, key=planners.PlanOption.rank, default=None)
+        return best and (
+            best.result.best_qoe.hex(), best.result.full_bitrate_plan,
+            best.satellite, best.handoff_chunk,
+        )
+
+    full = [
+        planners.PlanOption(sat, inst.handoff_chunk, res)
+        for sat, inst in instances
+        if (res := _solved(inst)) is not None
+    ]
+    assert chosen(solve_options(instances, solve)) == chosen(full)
+    # Every option is solved once, above the best QoE found before it.
+    assert len(log) == len(instances)
+    best = -math.inf
+    for floor, qoe in log:
+        assert floor == best
+        if qoe is not None:
+            best = max(best, qoe)
