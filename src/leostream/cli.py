@@ -15,7 +15,6 @@ OUT_DIR_ENV = "LEOSTREAM_OUT"
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
-EXIT_PARTIAL = 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -112,7 +111,7 @@ def main(argv=None) -> int:
             print(f"wrote {files['csv']} ({len(output.rows)} rows)")
             for key, err in sorted(output.failures.items()):
                 print(f"cell failed: {key}: {err}", file=sys.stderr)
-            return EXIT_PARTIAL if output.failures else EXIT_OK
+            return output.exit_code
 
         if args.command == "compare":
             summary = harness.compare_results(args.results)

@@ -17,7 +17,6 @@ import math
 import time as _time
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from .planners import (
     UserPlanView,
     f_sat_dpmpc,
     handoff_instances,
-    solve_options,
 )
 from .simcore import (
     Decision,
@@ -413,18 +411,19 @@ def result_json(result: MultiUserResult, include_share_events: bool = False) -> 
 
 
 def _best_option(
-    view: UserPlanView, target: int, scale_cur: float, scale_target: float, solve
+    view: UserPlanView, target: int, scale_cur: float, scale_target: float, memo: SolveMemo
 ) -> PlanOption | None:
     """Best option for one user given a target satellite assignment, None
     when every plan is unbounded. Staying is one option; handing off to
-    another target is one option per handoff point, which solve_options
-    takes best-first, each point above the best point solved before it."""
+    another target is one option per handoff point, which one memo.options
+    call (solve_options) takes best-first, each point above the best point
+    solved before it."""
     stay = replace(view.stay, current_link=view.stay.current_link.scaled(scale_cur))
     if target == view.current_satellite:
         options = [(target, stay)]
     else:
         options = handoff_instances(stay, {target: view.targets[target].scaled(scale_target)})
-    return max(solve_options(options, solve), key=PlanOption.rank, default=None)
+    return max(memo.options(f_sat_dpmpc, options), key=PlanOption.rank, default=None)
 
 
 def centralized_mpc_decide(
@@ -436,16 +435,16 @@ def centralized_mpc_decide(
     Each user's candidates are its current satellite and its view's
     targets; predicted throughput on a satellite is split equally among
     the users assigned to it within the horizon.
-    Identical instances are solved once through memo, a fresh SolveMemo
-    by default; a memo passed in carries this call's solves to the next.
+    Each user's options under one assignment are one planning step,
+    solved once through memo (a fresh SolveMemo by default): assignments
+    that give a user the same shares repeat its step, and a memo passed
+    in also serves later calls whose steps start at the same instant.
     """
     if len(views) > CENTRALIZED_USER_CAP:
         raise PlanningError(
             f"centralized search capped at {CENTRALIZED_USER_CAP} users, got {len(views)}"
         )
     memo = SolveMemo() if memo is None else memo
-    memo.retire()
-    solve = partial(memo.solve, f_sat_dpmpc)
     candidate_lists = [[view.current_satellite, *view.targets] for view in views]
 
     # Everyone rides their current satellite until their handoff point,
@@ -462,7 +461,7 @@ def centralized_mpc_decide(
         for view, target in zip(views, assignment):
             scale_cur = 1.0 / current_counts[view.current_satellite]
             scale_target = 1.0 / target_counts[target]
-            option = _best_option(view, target, scale_cur, scale_target, solve)
+            option = _best_option(view, target, scale_cur, scale_target, memo)
             if option is None:
                 break  # an infeasible assignment
             total += option.result.best_qoe
@@ -490,13 +489,13 @@ class CentralizedCoordinator:
     action (the others re-plan at their own boundaries). Each user's
     predictions, no-bounce-back exclusion and handoff record live in its
     own joint:dual controller, whose planning view the search reads.
-    Its memo carries each call's solves to the next call, which reuses
-    them when users decide at the same instant. simulate_multi replaces
-    it with the scenario's memo, the one that serves every planner: users
-    in lockstep (same controller, same state at the same instant) solve
-    each instance once. On the benchmark's contention workload that
-    sharing saves half of the separate:mb and joint:dual solves; its
-    one-user workloads share nothing.
+    Its memo holds the planning steps that start at one instant, so a
+    call reuses the steps an earlier call at that instant solved.
+    simulate_multi replaces it with the scenario's memo, the one that
+    serves every planner: users in lockstep (same controller, same state
+    at the same instant) solve each step once. On the benchmark's
+    contention workload that sharing saves half of the separate:mb and
+    joint:dual solves; its one-user workloads share nothing.
     """
 
     def __init__(

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -259,13 +258,16 @@ def f_sat_mpc(inst: PlanInstance) -> PlanResult:
 
 
 def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
-    """DP-accelerated equivalent of the exhaustive search.
+    """The exhaustive search's objective, solved by a DP on the dt_s grid.
 
     States are keyed by (floor(time/dt), floor(buffer/dt), bitrate) with
     dt = inst.sim.dt_s; each key keeps the best accumulated QoE together
     with its exact time and buffer, so the returned QoE is the true value
-    of a real plan and matches the exhaustive search whenever no two plans
-    collide on the grid. handoff_chunk None is the stay branch.
+    of a real plan. It matches the exhaustive search whenever no two
+    plans collide on the grid. When they do, the cell keeps the plan
+    with more QoE so far, which can pay for its later clock (a rate
+    cliff at the pass end), so the DP can return less than the
+    exhaustive search. handoff_chunk None is the stay branch.
 
     floor asks only for a plan scoring >= floor: the result is the
     unbounded DP's, bit for bit, when its best plan reaches floor, and
@@ -467,18 +469,19 @@ def _incumbent(inst: PlanInstance) -> float:
     return best
 
 
-def solve_options(options: list[tuple[int, PlanInstance]], solve) -> list[PlanOption]:
+def solve_options(options: list[tuple[int, PlanInstance]], solver) -> list[PlanOption]:
     """Every option, given as (satellite, instance), that scores >= the
     running floor, in the given order.
 
-    solve(instance, floor) returns None when no plan is bounded or
-    reaches floor. Options are solved best-first: by their incumbent
-    (_incumbent) in descending order, a stable sort, so ties keep the
-    given order. The first is solved in full and each later one above
-    the best QoE found so far, so an option is dropped only when an
-    option solved before it beats it: the best option by
-    PlanOption.rank, and every option that ties with it, is kept
-    whatever the order. A lone option is solved as given.
+    solver(instance) solves an option in full and solver(instance, floor)
+    above floor; an option whose solve raises UnboundedDownloadError or
+    BelowFloorError is dropped. Options are solved best-first: by their
+    incumbent (_incumbent) in descending order, a stable sort, so ties
+    keep the given order. The first is solved in full and each later one
+    above the best QoE found so far, so an option is dropped only when an
+    option solved before it beats it: the best option by PlanOption.rank,
+    and every option that ties with it, is kept whatever the order. A
+    lone option is solved in full, with no incumbent.
     """
     floor = NEG_INF
     order = range(len(options))
@@ -488,60 +491,52 @@ def solve_options(options: list[tuple[int, PlanInstance]], solve) -> list[PlanOp
     solved = {}
     for i in order:
         satellite, inst = options[i]
-        res = solve(inst, floor)
-        if res is not None:
-            solved[i] = PlanOption(satellite, inst.handoff_chunk, res)
-            floor = max(floor, res.best_qoe)
+        try:
+            res = solver(inst) if floor == NEG_INF else solver(inst, floor)
+        except (UnboundedDownloadError, BelowFloorError):
+            continue
+        solved[i] = PlanOption(satellite, inst.handoff_chunk, res)
+        floor = max(floor, res.best_qoe)
     return [solved[i] for i in sorted(solved)]
 
 
-_UNSOLVED = object()  # a memo miss: None is a stored outcome
-
-
 class SolveMemo:
-    """Solver outcomes keyed by (solver, PlanInstance value, floor).
+    """Planning steps keyed by (solver, options): options(solver, options)
+    returns solve_options(options, solver), and solves each step once.
 
-    solve returns the solver's PlanResult, or None when the solver found
-    no plan (it raised UnboundedDownloadError or BelowFloorError). A
-    solve is a pure function of its solver, instance and floor, so a
-    stored outcome is the same as solving anew; the solver in the key
-    keeps exhaustive and DP results apart. An unfloored solve calls
-    solver(inst), so the exhaustive solvers, which take no floor, share
-    the memo. Callers pass the solver they read from their module at
-    call time, so a patched solver is the one that runs.
-    retire() starts a planning call: it keeps only the entries the
-    previous call touched, so each call sees exactly the previous call's
-    solves, whether or not they found a plan.
+    A step is a pure function of its solver and its (satellite,
+    PlanInstance) options, so a stored step is the same as solving anew;
+    the solver in the key keeps exhaustive and DP results apart. Callers
+    pass the solver they read from their module at call time, so a
+    patched solver is the one that runs. Every option of a step starts
+    at its decision's wallclock (start_t), and the memo starts afresh
+    when a step starts at another instant: it holds the steps that start
+    at one instant. The returned list is shared; callers do not modify
+    it.
 
     Every controller plans through its memo. simulate_multi, which runs
     every session (run_session too), gives one fresh memo per scenario to
     all its controllers, so users that decide at the same instant from
-    the same state (lockstep users) solve each instance once. The memo a
+    the same state (lockstep users) solve each step once. The memo a
     controller builds for itself serves only decide calls made outside a
     session.
     """
 
-    __slots__ = ("_kept", "_touched")
+    __slots__ = ("_start_t", "_steps")
 
     def __init__(self):
-        self._kept: dict = {}
-        self._touched: dict = {}
+        self._start_t = None
+        self._steps: dict = {}
 
-    def solve(self, solver, inst: PlanInstance, floor: float = NEG_INF) -> PlanResult | None:
-        key = (solver, inst, floor)
-        outcome = self._touched.get(key, _UNSOLVED)
-        if outcome is _UNSOLVED:
-            outcome = self._kept.get(key, _UNSOLVED)
-            if outcome is _UNSOLVED:
-                try:
-                    outcome = solver(inst) if floor == NEG_INF else solver(inst, floor)
-                except (UnboundedDownloadError, BelowFloorError):
-                    outcome = None
-            self._touched[key] = outcome
-        return outcome
-
-    def retire(self) -> None:
-        self._kept, self._touched = self._touched, {}
+    def options(self, solver, options: list[tuple[int, PlanInstance]]) -> list[PlanOption]:
+        start_t = options[0][1].start_t
+        if start_t != self._start_t:
+            self._start_t, self._steps = start_t, {}
+        key = (solver, tuple(options))
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = solve_options(options, solver)
+        return step
 
 
 @dataclass
@@ -567,7 +562,7 @@ class _PredictingController:
     def observe_start(self, trace: TraceSet, state: PlayerState) -> None:
         """Start a session: forget the last session's observations. The
         memo stays: simulate_multi, which runs every session, sets it
-        before this call."""
+        before this call, and a stored step is the same as solving anew."""
         if self.bank is not None:
             self.bank = PredictorBank()
             self.bank.observe_epoch(trace, 0.0)
@@ -663,15 +658,16 @@ class JointMpcController(_PredictingController):
     """Receding-horizon joint bitrate and handoff planner.
 
     mode selects the candidate rule (dual or manifold); every option is
-    solved by the grid DP. One solve_options call takes the stay and
-    every (candidate, handoff point) option best-first: the most
+    solved by the grid DP. One memo.options call (solve_options) takes the
+    stay and every (candidate, handoff point) option best-first: the most
     promising option is solved in full and each later one only above the
     best option found before it (the DP's floor), so an option that
     cannot win or tie is not solved in full, and a stay on a setting
     satellite can end below the floor a handoff sets. With
-    dump_candidates every option is solved in full. Only the first
-    action of the winning horizon plan is executed; a handoff happens
-    only when the winner switches before the immediate chunk.
+    dump_candidates each option is asked as a lone set, which is solved
+    in full. Only the first action of the winning horizon plan is
+    executed; a handoff happens only when the winner switches before the
+    immediate chunk.
     """
 
     def __init__(
@@ -736,26 +732,25 @@ class JointMpcController(_PredictingController):
         t = state.wallclock_s
         cur = state.current_satellite
         stats = self.last_stats = DecisionStats()
-        self.memo.retire()
         visible = trace.visible_at(t)
         if not visible:
             return Decision(0, cur, False)
         view = self.plan_view(state, trace, visible)
-        solve = partial(self.memo.solve, f_sat_dpmpc)
-        if self.dump_candidates:
-            # candidates.csv lists every option's exact QoE: no floor.
-            def solve(inst, floor=NEG_INF):
-                return self.memo.solve(f_sat_dpmpc, inst)
-
         instances = [(cur, view.stay), *handoff_instances(view.stay, view.targets)]
         stats.inner_calls = len(instances)
-        options = solve_options(instances, solve)
         if self.dump_candidates:
+            # candidates.csv lists every option's exact QoE: each option is
+            # a lone set, and a lone option is solved in full.
+            options = [
+                o for option in instances for o in self.memo.options(f_sat_dpmpc, [option])
+            ]
             self.candidate_rows += [
                 (state.chunk_index, o.satellite, o.handoff_chunk, o.result.best_qoe)
                 for o in options
                 if o.handoff_chunk is not None
             ]
+        else:
+            options = self.memo.options(f_sat_dpmpc, instances)
 
         if not options:
             # Every plan diverged: limp along on the strongest visible signal.
@@ -788,20 +783,18 @@ class SeparateController(_PredictingController):
     def decide(self, state: PlayerState, trace: TraceSet) -> Decision:
         t = state.wallclock_s
         cur = state.current_satellite
-        self.memo.retire()
         sat = baseline_handoff(
             self.strategy, cur, trace, t, self.video.chunk_duration_s
         )
         chunks = min(self.horizon, self.video.n_chunks - state.chunk_index)
         links, _ = self._predictions(trace, t, [sat], chunks)
         stats = self.last_stats = DecisionStats(inner_calls=1)
-        res = self.memo.solve(
-            f_mpc, stay_instance(state, chunks, links[sat], self.video, self.cfg)
-        )
-        if res is None:
+        stay = stay_instance(state, chunks, links[sat], self.video, self.cfg)
+        options = self.memo.options(f_mpc, [(sat, stay)])
+        if not options:
             return Decision(0, sat, sat != cur)
         # The rule switches satellites before the first chunk, if at all.
-        stats.chosen = PlanOption(sat, None if sat == cur else 1, res)
+        stats.chosen = PlanOption(sat, None if sat == cur else 1, options[0].result)
         return stats.chosen.decision(cur)
 
 

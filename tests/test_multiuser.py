@@ -27,7 +27,9 @@ from leostream.planners import (
     SolveMemo,
     f_mpc,
     f_sat_dpmpc,
+    handoff_instances,
     select_candidates,
+    solve_options,
     stay_instance,
 )
 from leostream.simcore import (
@@ -525,13 +527,18 @@ def test_centralized_dominates_independent_two_user_oracle(video, sim_cfg):
 
 
 class _SolveEvery(SolveMemo):
-    """A memo that keeps nothing: every instance is solved anew, a solve
-    with no plan returning None as the memo's does."""
+    """A memo that keeps nothing: every step is solved anew. steps counts
+    the steps asked of it."""
 
-    __slots__ = ()
+    __slots__ = ("steps",)
 
-    def solve(self, solver, inst, floor=-math.inf):
-        return SolveMemo().solve(solver, inst, floor)
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+
+    def options(self, solver, options):
+        self.steps += 1
+        return solve_options(options, solver)
 
 
 def _controllers(kind, n_users, video, sim_cfg):
@@ -546,7 +553,8 @@ def _controllers(kind, n_users, video, sim_cfg):
 
 
 def _scenario_run(kind, trace, video, sim_cfg, n_users, n_background, seed, memo=SolveMemo):
-    """One scenario, its planners served by the memo class simulate_multi makes."""
+    """One scenario, its planners served by the memo class simulate_multi
+    makes; returns the result and that memo."""
     scenario = MultiUserScenario(
         trace=trace,
         controllers=_controllers(kind, n_users, video, sim_cfg),
@@ -554,7 +562,10 @@ def _scenario_run(kind, trace, video, sim_cfg, n_users, n_background, seed, memo
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(multiuser, "SolveMemo", memo)
-        return simulate_multi(scenario, video, sim_cfg, seed=seed)
+        result = simulate_multi(scenario, video, sim_cfg, seed=seed)
+    made = scenario.controllers[0].memo
+    assert type(made) is memo
+    return result, made
 
 
 @settings(max_examples=3)
@@ -579,8 +590,10 @@ def test_memoised_centralized_matches_solving_every_instance(
     ]:
         for kind in ("centralized", "separate:mb", "joint:dual", "mixed"):
             run = (kind, trace, video, sim_cfg, n_users, n_background, seed)
-            memoised = _scenario_run(*run)
-            fresh = _scenario_run(*run, memo=_SolveEvery)
+            memoised, _ = _scenario_run(*run)
+            fresh, every = _scenario_run(*run, memo=_SolveEvery)
+            # Each decision asks at least one step of the fake.
+            assert every.steps >= sum(map(len, fresh.decisions)) > 0, kind
             assert memoised.decisions == fresh.decisions, kind
             assert memoised.per_user == fresh.per_user, kind
             assert memoised.qos == fresh.qos, kind
@@ -602,10 +615,12 @@ def test_lockstep_users_make_half_the_solves(kind, solver, video, sim_cfg, monke
 
     monkeypatch.setattr(planners, solver, counting)
     run = (kind, suite_trace(3), video, sim_cfg, 2, 5, 3)
-    shared = _scenario_run(*run)
+    shared, _ = _scenario_run(*run)
     n_shared = len(solves)
     solves.clear()
-    fresh = _scenario_run(*run, memo=_SolveEvery)
+    fresh, every = _scenario_run(*run, memo=_SolveEvery)
+    # Each decision is one step.
+    assert every.steps == sum(map(len, fresh.decisions)) > 0
     # Both users make the same decisions at the same instants, so the
     # second user to decide reuses every solve of the first.
     assert shared.decisions[0] == shared.decisions[1] == fresh.decisions[0]
@@ -614,19 +629,26 @@ def test_lockstep_users_make_half_the_solves(kind, solver, video, sim_cfg, monke
 
 
 class _Unfloored(SolveMemo):
-    """A memo that solves every option in full: it drops the floor, so it
-    returns None only for an option whose plans are all unbounded."""
+    """A memo that solves every option of a step in full, each as a lone
+    set, so it drops only an option whose plans are all unbounded. steps
+    counts the steps asked of it."""
 
-    __slots__ = ()
+    __slots__ = ("steps",)
 
-    def solve(self, solver, inst, floor=-math.inf):
-        return super().solve(solver, inst)
+    def __init__(self):
+        super().__init__()
+        self.steps = 0
+
+    def options(self, solver, options):
+        self.steps += 1
+        solve = super().options
+        return [o for option in options for o in solve(solver, [option])]
 
 
 class _FloorLog(SolveMemo):
-    """A memo that logs, per planning call and in solve order, each
-    solve's handoff chunk (None for the stay), floor and QoE (None when
-    the solve found no plan)."""
+    """A memo that solves every step anew and logs, per step and in solve
+    order, each solve's handoff chunk (None for the stay), floor and QoE
+    (None when the solve found no plan)."""
 
     __slots__ = ("calls",)
 
@@ -634,14 +656,21 @@ class _FloorLog(SolveMemo):
         super().__init__()
         self.calls = []
 
-    def retire(self):
-        super().retire()
-        self.calls.append([])
+    def options(self, solver, options):
+        log = []
+        self.calls.append(log)
 
-    def solve(self, solver, inst, floor=-math.inf):
-        res = super().solve(solver, inst, floor)
-        self.calls[-1].append((inst.handoff_chunk, floor, None if res is None else res.best_qoe))
-        return res
+        def logged(inst, *floor):
+            entry = (inst.handoff_chunk, floor[0] if floor else -math.inf)
+            try:
+                res = solver(inst, *floor)
+            except (UnboundedDownloadError, BelowFloorError):
+                log.append((*entry, None))
+                raise
+            log.append((*entry, res.best_qoe))
+            return res
+
+        return solve_options(options, logged)
 
 
 class _Choices:
@@ -692,21 +721,25 @@ def _floor_traces():
 def test_floored_joint_decisions_match_solving_in_full(mode, video6, sim_cfg):
     traces = _floor_traces()
     for trace in traces:
-        runs, logs = [], []
-        for memo, dump in ((_FloorLog(), False), (_Unfloored(), False), (_FloorLog(), True)):
+        runs = []
+        floored, full, dumped = _FloorLog(), _Unfloored(), _FloorLog()
+        for memo, dump in ((floored, False), (full, False), (dumped, True)):
             ctrl = JointMpcController(video6, sim_cfg, mode=mode, dump_candidates=dump)
             ctrl.memo = memo
             choices = _Choices(ctrl)
             result = run_session(trace, choices, video6, sim_cfg)
             assert ctrl.memo is memo
             runs.append((result.decisions, result.breakdown, choices.chosen))
-            logs.append(getattr(memo, "calls", None))
         assert runs[0] == runs[1] == runs[2]
         # The loop gives every controller with a memo its own; _Choices
-        # takes that one, so ctrl keeps the memo set here, and each log
-        # holds one planning call per decision.
-        floored, _, dumped = logs
-        assert len(floored) == len(dumped) == len(runs[0][0])
+        # takes that one, so ctrl keeps the memo set here. The floored log
+        # holds one step per decision, and every option of a decision is
+        # solved once in it. Dumping candidates asks each option as a lone
+        # set.
+        floored, dumped = floored.calls, dumped.calls
+        assert len(floored) == full.steps == len(runs[0][0])
+        assert len(dumped) == sum(map(len, floored))
+        assert all(len(solves) == 1 for solves in dumped)
         # Options are solved best-first: the first in full and each later
         # one above the best option solved before it in the same
         # decision; dumping candidates solves every option in full.
@@ -730,8 +763,9 @@ def test_floored_centralized_decisions_match_solving_in_full(video6, sim_cfg):
     video = dataclasses.replace(video6, n_chunks=25)
     for trace in _floor_traces():
         run = ("centralized", trace, video, sim_cfg, 2, 0, 3)
-        floored = _scenario_run(*run)
-        full = _scenario_run(*run, memo=_Unfloored)
+        floored, _ = _scenario_run(*run)
+        full, unfloored = _scenario_run(*run, memo=_Unfloored)
+        assert unfloored.steps > 0
         assert floored.decisions == full.decisions
         assert floored.per_user == full.per_user
         assert floored.failures == full.failures == {}
@@ -753,8 +787,8 @@ def test_controllers_run_a_second_scenario_as_fresh_ones(kind, video, sim_cfg):
 
 
 class _Recording(SolveMemo):
-    """A memo that records, per call, the keys asked and, at each retire,
-    the entries the memo held."""
+    """A memo that records each step asked, as (start time, key), and the
+    keys it holds after each step."""
 
     __slots__ = ("asked", "held")
 
@@ -763,17 +797,14 @@ class _Recording(SolveMemo):
         self.asked = []
         self.held = []
 
-    def retire(self):
-        self.held.append((set(self._kept), set(self._touched)))
-        super().retire()
-        self.asked.append(set())
-
-    def solve(self, solver, inst, floor=-math.inf):
-        self.asked[-1].add((solver, inst, floor))
-        return super().solve(solver, inst, floor)
+    def options(self, solver, options):
+        self.asked.append((options[0][1].start_t, (solver, tuple(options))))
+        step = super().options(solver, options)
+        self.held.append(set(self._steps))
+        return step
 
 
-def test_memo_holds_the_previous_and_the_current_call(video, sim_cfg):
+def test_memo_holds_the_steps_of_one_instant(video, sim_cfg):
     made = []
 
     def recording():
@@ -796,14 +827,20 @@ def test_memo_holds_the_previous_and_the_current_call(video, sim_cfg):
         assert not any(memo is made[-1] for memo in memos)
     calls = sum(len(d) for d in result.decisions)
     for memo in made:
+        # Each decision is one step.
         assert len(memo.asked) == calls
-        assert memo.held[0] == (set(), set())  # it starts empty
-        # At the end of call k the memo holds the keys calls k - 1 and k
-        # asked, and nothing else.
-        for k in range(1, calls):
-            kept, touched = memo.held[k]
-            assert touched == memo.asked[k - 1]
-            assert kept == (memo.asked[k - 2] if k >= 2 else set())
+        # After each step the memo holds the steps asked since the instant
+        # last changed, and nothing else: it starts empty, and afresh at
+        # each new instant.
+        since = 0
+        for k, (start_t, _) in enumerate(memo.asked):
+            if start_t != memo.asked[since][0]:
+                since = k
+            assert memo.held[k] == {key for _, key in memo.asked[since:k + 1]}
+        assert since > 0
+        # The two separate:mb users decide in lockstep: every instant
+        # repeats a step.
+        assert len(set(key for _, key in memo.asked)) < calls
 
 
 def test_identical_users_at_the_same_instant_are_solved_once(video, sim_cfg, monkeypatch):
@@ -835,51 +872,95 @@ def test_identical_users_at_the_same_instant_are_solved_once(video, sim_cfg, mon
     coord.memo = _SolveEvery()
     for uid in (0, 1):
         coord.decide_multi(uid, [start, start], trace)
+    # Each call asks one step per user under each of the 4 assignments.
+    assert coord.memo.steps == 2 * 4 * 2
     assert len(solves) == 2 * 4 * (1 + horizon)
     assert len(set(solves)) == 1 + 2 * horizon
 
 
-def test_memo_replays_unbounded_outcomes_and_keeps_one_call(video, sim_cfg):
+def test_memo_replays_steps_with_no_plan_and_keeps_one_instant(video, sim_cfg):
     calls = []
 
-    def unbounded(inst):
+    def unbounded(inst, *floor):
         calls.append(inst)
         raise UnboundedDownloadError("all horizon plans are unbounded")
 
-    def below_floor(inst, floor):
-        calls.append((inst, floor))
-        raise BelowFloorError(f"no plan reaches {floor!r}")
+    def below_floor(inst, *floor):
+        # Solves in full; no floor is ever reached.
+        calls.append((inst, *floor))
+        if floor:
+            raise BelowFloorError(f"no plan reaches {floor[0]!r}")
+        return f_sat_dpmpc(inst)
 
     memo = SolveMemo()
-    view = _view(0, {0: 4.0}, {0: 4.0}, cur=0, video=video)
-    inst = view.stay
+    view = _view(0, {0: 4.0, 1: 3.0}, {0: 4.0, 1: 3.0}, cur=0, video=video, horizon=1)
+    lone = [(0, view.stay)]
+    pair = [*lone, *handoff_instances(view.stay, view.targets)]
+    assert len(pair) == 2
     for _ in range(3):
-        assert memo.solve(unbounded, inst) is None
-        assert memo.solve(below_floor, inst, 1.0) is None
-    assert calls == [inst, (inst, 1.0)]
-    # The memo stores the outcome None, not the solver's exception.
-    assert list(memo._touched.values()) == [None, None]
+        assert memo.options(unbounded, lone) == []
+        # The first option solved is solved in full, the second above it.
+        assert len(memo.options(below_floor, pair)) == 1
+    assert len(calls) == 3
+    # The memo stores the step's options, not the solver's exception.
+    assert [len(step) for step in memo._steps.values()] == [0, 1]
 
-    # A call keeps what it touched; the call after it drops what it did not.
+    # Steps at one instant stay; a step at a new instant starts afresh.
     calls.clear()
-    memo.retire()
     other = dataclasses.replace(view.stay, current_link=RateSeries.constant(2.0))
-    assert memo.solve(unbounded, other) is None
-    memo.retire()
-    assert memo.solve(unbounded, inst) is None
-    assert calls == [other, inst]
+    later = dataclasses.replace(view.stay, start_t=1.0)
+    assert memo.options(unbounded, [(0, other)]) == []
+    assert memo.options(unbounded, lone) == []
+    assert memo.options(unbounded, [(0, later)]) == []
+    assert memo.options(unbounded, lone) == []
+    assert calls == [other, later, view.stay]
 
     # Any other error is the caller's: the memo neither stores nor hides it.
-    def failing(inst):
+    def failing(inst, *floor):
         calls.append(inst)
         raise PlanningError("not a plan outcome")
 
     for _ in range(2):
         with pytest.raises(PlanningError):
-            memo.solve(failing, inst)
-    assert calls == [other, inst, inst, inst]
+            memo.options(failing, lone)
+    assert calls == [other, later, view.stay, view.stay, view.stay]
 
     # The solver is part of the key: exhaustive and DP results never mix.
-    assert memo.solve(f_mpc, inst) == f_mpc(inst)
-    assert memo.solve(f_sat_dpmpc, inst) is not memo.solve(f_mpc, inst)
-    assert calls == [other, inst, inst, inst]
+    assert memo.options(f_mpc, lone) == solve_options(lone, f_mpc)
+    assert memo.options(f_sat_dpmpc, lone) is not memo.options(f_mpc, lone)
+    assert len(calls) == 5
+
+
+def test_a_repeated_step_runs_no_solver_and_no_incumbent(video, monkeypatch):
+    incumbents, solves = [], []
+    incumbent = planners._incumbent
+
+    def counting_incumbent(inst):
+        incumbents.append(inst)
+        return incumbent(inst)
+
+    def solver(inst, *floor):
+        solves.append(inst)
+        return f_sat_dpmpc(inst, *floor)
+
+    monkeypatch.setattr(planners, "_incumbent", counting_incumbent)
+    links = {0: 4.0, 1: 3.0}
+
+    def step(t):
+        view = _view(0, links, dict(links), cur=0, video=video, t=t)
+        return [(0, view.stay), *handoff_instances(view.stay, view.targets)]
+
+    memo = SolveMemo()
+    options = step(0.0)
+    first = memo.options(solver, options)
+    # Each of the 6 options is ordered by its incumbent and solved once.
+    assert len(incumbents) == len(solves) == len(options) == 6
+    assert first
+    assert memo.options(solver, step(0.0)) == first
+    assert len(incumbents) == len(solves) == 6
+    # A step at a new instant is solved afresh, and the memo drops the
+    # steps of the instant before it.
+    memo.options(solver, step(1.0))
+    assert len(incumbents) == len(solves) == 12
+    assert memo.options(solver, options) == first
+    assert len(incumbents) == len(solves) == 18

@@ -1036,9 +1036,13 @@ def test_best_first_options_choose_the_option_solving_all_in_full_chooses(option
     instances = [(0, stay), *handoff_instances(stay, targets)]
     log = []
 
-    def solve(inst, floor):
-        res = _solved(inst, floor)
-        log.append((floor, None if res is None else res.best_qoe))
+    def solver(inst, floor=-math.inf):
+        try:
+            res = f_sat_dpmpc(inst, floor)
+        except (UnboundedDownloadError, BelowFloorError):
+            log.append((floor, None))
+            raise
+        log.append((floor, res.best_qoe))
         return res
 
     def chosen(options):
@@ -1053,7 +1057,7 @@ def test_best_first_options_choose_the_option_solving_all_in_full_chooses(option
         for sat, inst in instances
         if (res := _solved(inst)) is not None
     ]
-    assert chosen(solve_options(instances, solve)) == chosen(full)
+    assert chosen(solve_options(instances, solver)) == chosen(full)
     # Every option is solved once, above the best QoE found before it.
     assert len(log) == len(instances)
     best = -math.inf
