@@ -203,8 +203,8 @@ def simulate_multi(
         profile = make_background_profile(trace, scenario.n_background, seed)
 
     series = {tr.sat_id: RateSeries.for_satellite(trace, tr.sat_id) for tr in trace.tracks}
-    # One memo serves every planner of the scenario: users that decide at
-    # the same instant from the same state repeat each other's solves.
+    # A fresh memo per scenario serves every planner: users that reach
+    # the same step repeat each other's solves.
     memo = SolveMemo()
     for controller in scenario.controllers:
         if hasattr(controller, "memo"):
@@ -438,7 +438,7 @@ def centralized_mpc_decide(
     Each user's options under one assignment are one planning step,
     solved once through memo (a fresh SolveMemo by default): assignments
     that give a user the same shares repeat its step, and a memo passed
-    in also serves later calls whose steps start at the same instant.
+    in, which keeps every step it solved, also serves later calls.
     """
     if len(views) > CENTRALIZED_USER_CAP:
         raise PlanningError(
@@ -489,13 +489,14 @@ class CentralizedCoordinator:
     action (the others re-plan at their own boundaries). Each user's
     predictions, no-bounce-back exclusion and handoff record live in its
     own joint:dual controller, whose planning view the search reads.
-    Its memo holds the planning steps that start at one instant, so a
-    call reuses the steps an earlier call at that instant solved.
-    simulate_multi replaces it with the scenario's memo, the one that
-    serves every planner: users in lockstep (same controller, same state
-    at the same instant) solve each step once. On the benchmark's
-    contention workload that sharing saves half of the separate:mb and
-    joint:dual solves; its one-user workloads share nothing.
+    Its memo keeps every step it solved, so a call reuses the steps of
+    earlier calls. simulate_multi gives each scenario a fresh memo, the
+    one that serves every planner: users in lockstep (same controller,
+    same state at the same instant) solve each step once, and so do
+    users the search has split across satellites, call after call. On
+    the benchmark's contention workload that sharing saves half of the
+    separate:mb and joint:dual solves; its one-user workloads share
+    nothing.
     """
 
     def __init__(

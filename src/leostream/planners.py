@@ -506,32 +506,26 @@ class SolveMemo:
 
     A step is a pure function of its solver and its (satellite,
     PlanInstance) options, so a stored step is the same as solving anew;
-    the solver in the key keeps exhaustive and DP results apart. Callers
-    pass the solver they read from their module at call time, so a
-    patched solver is the one that runs. Every option of a step starts
-    at its decision's wallclock (start_t), and the memo starts afresh
-    when a step starts at another instant: it holds the steps that start
-    at one instant. The returned list is shared; callers do not modify
-    it.
+    the solver in the key keeps exhaustive and DP results apart, and each
+    option's instance carries its start time. Callers pass the solver
+    they read from their module at call time, so a patched solver is the
+    one that runs. A memo keeps every step it solved for as long as it
+    lives. The returned list is shared; callers do not modify it.
 
     Every controller plans through its memo. simulate_multi, which runs
-    every session (run_session too), gives one fresh memo per scenario to
-    all its controllers, so users that decide at the same instant from
-    the same state (lockstep users) solve each step once. The memo a
-    controller builds for itself serves only decide calls made outside a
-    session.
+    every session (run_session too), gives each scenario a fresh memo and
+    hands it to all its controllers, so users that reach the same step
+    (lockstep users, or one user in every assignment of a centralized
+    search) solve it once. The memo a controller builds for itself
+    serves only decide calls made outside a session.
     """
 
-    __slots__ = ("_start_t", "_steps")
+    __slots__ = ("_steps",)
 
     def __init__(self):
-        self._start_t = None
         self._steps: dict = {}
 
     def options(self, solver, options: list[tuple[int, PlanInstance]]) -> list[PlanOption]:
-        start_t = options[0][1].start_t
-        if start_t != self._start_t:
-            self._start_t, self._steps = start_t, {}
         key = (solver, tuple(options))
         step = self._steps.get(key)
         if step is None:
@@ -561,8 +555,9 @@ class _PredictingController:
 
     def observe_start(self, trace: TraceSet, state: PlayerState) -> None:
         """Start a session: forget the last session's observations. The
-        memo stays: simulate_multi, which runs every session, sets it
-        before this call, and a stored step is the same as solving anew."""
+        memo stays: simulate_multi, which runs every session, gives each
+        scenario a fresh memo before this call, and a memo keeps every
+        step it solved, each the same as solving anew."""
         if self.bank is not None:
             self.bank = PredictorBank()
             self.bank.observe_epoch(trace, 0.0)

@@ -804,7 +804,7 @@ class _Recording(SolveMemo):
         return step
 
 
-def test_memo_holds_the_steps_of_one_instant(video, sim_cfg):
+def test_memo_keeps_every_step_of_its_scenario(video, sim_cfg):
     made = []
 
     def recording():
@@ -829,18 +829,20 @@ def test_memo_holds_the_steps_of_one_instant(video, sim_cfg):
     for memo in made:
         # Each decision is one step.
         assert len(memo.asked) == calls
-        # After each step the memo holds the steps asked since the instant
-        # last changed, and nothing else: it starts empty, and afresh at
-        # each new instant.
-        since = 0
-        for k, (start_t, _) in enumerate(memo.asked):
-            if start_t != memo.asked[since][0]:
-                since = k
-            assert memo.held[k] == {key for _, key in memo.asked[since:k + 1]}
-        assert since > 0
+        # After each step the memo holds every step asked so far, and
+        # nothing else: it starts empty and drops nothing.
+        for k in range(calls):
+            assert memo.held[k] == {key for _, key in memo.asked[:k + 1]}
+        assert len({start_t for start_t, _ in memo.asked}) > 1
         # The two separate:mb users decide in lockstep: every instant
         # repeats a step.
         assert len(set(key for _, key in memo.asked)) < calls
+    # Every step asked again, the latest instant first, is the stored one:
+    # a step at an earlier instant runs no solver and no incumbent.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(planners, "solve_options", None)
+        for _, (solver, options) in reversed(memo.asked):
+            assert memo.options(solver, list(options)) is memo._steps[solver, options]
 
 
 def test_identical_users_at_the_same_instant_are_solved_once(video, sim_cfg, monkeypatch):
@@ -878,7 +880,7 @@ def test_identical_users_at_the_same_instant_are_solved_once(video, sim_cfg, mon
     assert len(set(solves)) == 1 + 2 * horizon
 
 
-def test_memo_replays_steps_with_no_plan_and_keeps_one_instant(video, sim_cfg):
+def test_memo_replays_steps_with_no_plan_at_every_instant(video, sim_cfg):
     calls = []
 
     def unbounded(inst, *floor):
@@ -905,15 +907,17 @@ def test_memo_replays_steps_with_no_plan_and_keeps_one_instant(video, sim_cfg):
     # The memo stores the step's options, not the solver's exception.
     assert [len(step) for step in memo._steps.values()] == [0, 1]
 
-    # Steps at one instant stay; a step at a new instant starts afresh.
+    # Every step stays: another instance and a later instant are solved
+    # once each, and the step of the earlier instant is not solved again.
     calls.clear()
     other = dataclasses.replace(view.stay, current_link=RateSeries.constant(2.0))
     later = dataclasses.replace(view.stay, start_t=1.0)
-    assert memo.options(unbounded, [(0, other)]) == []
-    assert memo.options(unbounded, lone) == []
-    assert memo.options(unbounded, [(0, later)]) == []
-    assert memo.options(unbounded, lone) == []
-    assert calls == [other, later, view.stay]
+    for _ in range(2):
+        assert memo.options(unbounded, [(0, other)]) == []
+        assert memo.options(unbounded, lone) == []
+        assert memo.options(unbounded, [(0, later)]) == []
+        assert memo.options(unbounded, lone) == []
+    assert calls == [other, later]
 
     # Any other error is the caller's: the memo neither stores nor hides it.
     def failing(inst, *floor):
@@ -923,12 +927,12 @@ def test_memo_replays_steps_with_no_plan_and_keeps_one_instant(video, sim_cfg):
     for _ in range(2):
         with pytest.raises(PlanningError):
             memo.options(failing, lone)
-    assert calls == [other, later, view.stay, view.stay, view.stay]
+    assert calls == [other, later, view.stay, view.stay]
 
     # The solver is part of the key: exhaustive and DP results never mix.
     assert memo.options(f_mpc, lone) == solve_options(lone, f_mpc)
     assert memo.options(f_sat_dpmpc, lone) is not memo.options(f_mpc, lone)
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 def test_a_repeated_step_runs_no_solver_and_no_incumbent(video, monkeypatch):
@@ -958,9 +962,36 @@ def test_a_repeated_step_runs_no_solver_and_no_incumbent(video, monkeypatch):
     assert first
     assert memo.options(solver, step(0.0)) == first
     assert len(incumbents) == len(solves) == 6
-    # A step at a new instant is solved afresh, and the memo drops the
-    # steps of the instant before it.
-    memo.options(solver, step(1.0))
+    # A step at a new instant is solved once; the step of the earlier
+    # instant, asked again, runs no solver and no incumbent.
+    later = memo.options(solver, step(1.0))
     assert len(incumbents) == len(solves) == 12
-    assert memo.options(solver, options) == first
-    assert len(incumbents) == len(solves) == 18
+    assert memo.options(solver, options) is first
+    assert memo.options(solver, step(1.0)) is later
+    assert len(incumbents) == len(solves) == 12
+
+
+def test_split_centralized_users_solve_each_step_once(video, sim_cfg, monkeypatch):
+    # On two flat links the centralized planner splits its users, so a
+    # call plans users whose states start at different instants, and a
+    # user's steps recur in the calls made before it settles its chunk.
+    instants, solved = [], []
+    decide, solve = multiuser.centralized_mpc_decide, planners.solve_options
+
+    def recording_decide(views, memo):
+        instants.append({view.stay.start_t for view in views})
+        return decide(views, memo)
+
+    def counting_solve(options, solver):
+        solved.append((solver, tuple(options)))
+        return solve(options, solver)
+
+    monkeypatch.setattr(multiuser, "centralized_mpc_decide", recording_decide)
+    monkeypatch.setattr(planners, "solve_options", counting_solve)
+    video = dataclasses.replace(video, n_chunks=20)
+    run = ("centralized", make_flat_trace([4.0, 3.0]), video, sim_cfg, 3, 5, 3)
+    result, _ = _scenario_run(*run)
+    assert not result.failures
+    assert any(len(starts) > 1 for starts in instants)
+    assert solved
+    assert len(solved) == len(set(solved))
