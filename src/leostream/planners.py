@@ -6,7 +6,9 @@ without a single satellite handoff at some point h in [1, F], then
 execute only the first action of the winner. The inner search is a
 dynamic program over discretized (time, buffer, bitrate) states that
 merges plans whose states collide on the grid; exhaustive enumeration of
-all |R|^F plans is its reference and the separate baselines' planner.
+all |R|^F plans is its reference. The separate baselines' planner is
+the same enumeration with a branch-and-bound, which returns the
+enumeration's plan bit for bit.
 
 Separate-selection baselines (max visible time, max signal, max
 bandwidth paired with a bitrate-only planner) and an offline optimal
@@ -201,22 +203,47 @@ def _child_expander(inst: PlanInstance):
     return expand
 
 
-def _plan_exhaustive(inst: PlanInstance) -> PlanResult:
-    """Every |R|^F plan, scored as evaluate_plan would score it.
+def _rebuffer_free_ceiling(inst: PlanInstance) -> list[list[float]]:
+    """U[k][p]: the best rebuffer-free score of k more chunks after rung p,
+    the max over rung sequences of sum(mu1*b - mu3*|b - prev|)."""
+    ladder = inst.video.bitrate_ladder_mbps
+    mu1, mu3 = inst.sim.mu1, inst.sim.mu3
+    ceiling = [[0.0] * len(ladder)]
+    for _ in range(inst.horizon - 1):
+        after = [mu1 * b + u for b, u in zip(ladder, ceiling[-1])]
+        ceiling.append([
+            max(a - mu3 * abs(b - p) for a, b in zip(after, ladder)) for p in ladder
+        ])
+    return ceiling
+
+
+def _plan_exhaustive(inst: PlanInstance, bounded: bool = False) -> PlanResult:
+    """The best of the |R|^F plans, scored as evaluate_plan would score it.
 
     A depth-first walk over plan prefixes simulates each prefix once and
     carries (time, buffer, previous rung, QoE so far) down to its
-    children, so a solve costs sum_k |R|^k chunk downloads instead of
-    F * |R|^F. Leaves come in ascending lexicographic order and add the
-    same floats in the same order as evaluate_plan, so with >= acceptance
-    the result is bit-identical to scoring each plan separately: the
-    lexicographically highest plan (hence highest first bitrate) wins
-    ties. A prefix whose download is unbounded prunes exactly the plans
-    evaluate_plan would reject. states_visited counts the simulated
-    (bounded) prefixes.
+    children, so a full walk costs sum_k |R|^k chunk downloads instead of
+    F * |R|^F. Children come in descending rung order, so leaves come in
+    descending lexicographic order, and a leaf replaces the best only on
+    a strictly higher QoE: the lexicographically highest plan (hence
+    highest first bitrate) wins ties. Leaves add the same floats in the
+    same order as evaluate_plan, so the result is bit-identical to
+    scoring each plan separately. A prefix whose download is unbounded
+    prunes exactly the plans evaluate_plan would reject.
+
+    bounded skips a child at chunk n, with QoE so far q and rung p, when
+    q + U + 1e-9*(|q| + |U| + 1) < best, where U = U[F - n][p] of
+    _rebuffer_free_ceiling. U bounds every continuation because mu2 >= 0
+    (SimConfig checks it): rebuffering only lowers a chunk's score, and
+    the buffer-cap drain moves only the clock. The slack covers the
+    rounding of the sums, so no plan scoring >= best is skipped and the
+    result is the full walk's, QoE and plan bit for bit. states_visited
+    counts the simulated prefixes (those whose download is bounded),
+    skipped children included.
     """
     expand = _child_expander(inst)
     horizon = inst.horizon
+    ceiling = _rebuffer_free_ceiling(inst) if bounded else None
     plan = [0] * horizon
     best_q = NEG_INF
     best_plan = None
@@ -226,14 +253,20 @@ def _plan_exhaustive(inst: PlanInstance) -> PlanResult:
         nonlocal best_q, best_plan, visited
         children = expand(n, t, buf, prev, total)
         visited += len(children)
+        children.reverse()
         if n == horizon:
             for rate_idx, _, _, q in children:
-                if q >= best_q:
+                if q > best_q:
                     best_q = q
                     plan[n - 1] = rate_idx
                     best_plan = tuple(plan)
             return
+        ceiling_row = ceiling[horizon - n] if ceiling is not None else None
         for rate_idx, new_t, new_buf, q in children:
+            if ceiling_row is not None:
+                u = ceiling_row[rate_idx]
+                if q + u + 1e-9 * (abs(q) + abs(u) + 1.0) < best_q:
+                    continue
             plan[n - 1] = rate_idx
             walk(n + 1, new_t, new_buf, rate_idx, q)
 
@@ -244,14 +277,20 @@ def _plan_exhaustive(inst: PlanInstance) -> PlanResult:
 
 
 def f_mpc(inst: PlanInstance) -> PlanResult:
-    """Exhaustive bitrate-only search; no handoff in the horizon."""
+    """Exact bitrate-only search, no handoff in the horizon: the bounded
+    walk of _plan_exhaustive, which returns the full enumeration's QoE
+    and plan bit for bit and simulates fewer prefixes. The separate
+    baselines plan with it."""
     if inst.handoff_chunk is not None:
         raise PlanningError("f_mpc expects no handoff point")
-    return _plan_exhaustive(inst)
+    return _plan_exhaustive(inst, bounded=True)
 
 
 def f_sat_mpc(inst: PlanInstance) -> PlanResult:
-    """Exhaustive search with one handoff fixed at inst.handoff_chunk."""
+    """Exhaustive search with one handoff fixed at inst.handoff_chunk: the
+    full walk of _plan_exhaustive, which simulates every prefix whose
+    download is bounded. It is the reference the DP (f_sat_dpmpc) is
+    checked and timed against."""
     if inst.handoff_chunk is None:
         raise PlanningError("f_sat_mpc expects a handoff point")
     return _plan_exhaustive(inst)

@@ -185,21 +185,64 @@ def _plan_instances(draw):
     )
 
 
-@settings(max_examples=150)
-@given(_plan_instances())
-def test_prefix_shared_search_matches_naive_enumeration(inst):
-    try:
-        q, plan = _naive_exhaustive(inst)
-        expected = (q.hex(), plan, plan[0])
-    except UnboundedDownloadError:
-        expected = None
-    search = f_mpc if inst.handoff_chunk is None else f_sat_mpc
-    try:
-        res = search(inst)
-        got = (res.best_qoe.hex(), res.full_bitrate_plan, res.first_bitrate_idx)
-    except UnboundedDownloadError:
-        got = None
-    assert got == expected
+@st.composite
+def _tied_instances(draw):
+    """Instances whose plans often tie exactly: integer rungs, rates on a
+    0.5 Mbps grid, start and buffer on a 0.5 s grid. They hand off
+    nowhere; a test may set any handoff point on the target link."""
+    horizon = draw(st.integers(2, 4))
+    sim = SimConfig(
+        max_buffer_s=draw(st.sampled_from((8.0, 60.0))),
+        dt_s=draw(st.sampled_from((0.5, 1.0, 2.0))),
+    )
+    rates = st.lists(st.integers(1, 16).map(lambda k: k / 2), min_size=4, max_size=12)
+    return PlanInstance(
+        horizon=horizon,
+        buffer_s=draw(st.integers(0, 16)) / 2,
+        last_bitrate_idx=draw(st.integers(0, 5)),
+        start_t=draw(st.integers(0, 8)) / 2,
+        handoff_chunk=None,
+        current_link=RateSeries(0.0, draw(st.sampled_from((0.5, 1.0))), draw(rates)),
+        target_link=RateSeries(0.0, draw(st.sampled_from((0.5, 1.0))), draw(rates)),
+        video=VideoSpec(bitrate_ladder_mbps=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+        sim=sim,
+    )
+
+
+@st.composite
+def _weights(draw):
+    """QoE weights, zeros included: mu1 = mu3 = 0 ties every rebuffer-free
+    plan, and mu3 = 0 leaves the bound no switch cost to rely on."""
+    return dict(
+        mu1=draw(st.sampled_from((0.0, 1.0, 2.0))),
+        mu2=draw(st.sampled_from((0.0, 0.5, 4.3))),
+        mu3=draw(st.sampled_from((0.0, 1.0, 3.0))),
+    )
+
+
+@settings(max_examples=300)
+@given(_plan_instances() | _tied_instances(), _weights())
+def test_prefix_shared_search_matches_naive_enumeration(base, weights):
+    # f_mpc is the bounded walk and f_sat_mpc the full one. A drawn handoff
+    # instance is also solved without its handoff, so every example checks
+    # the bound at least once.
+    base = dataclasses.replace(base, sim=dataclasses.replace(base.sim, **weights))
+    cases = [base]
+    if base.handoff_chunk is not None:
+        cases.append(dataclasses.replace(base, handoff_chunk=None, target_link=None))
+    for inst in cases:
+        try:
+            q, plan = _naive_exhaustive(inst)
+            expected = (q.hex(), plan, plan[0])
+        except UnboundedDownloadError:
+            expected = None
+        search = f_mpc if inst.handoff_chunk is None else f_sat_mpc
+        try:
+            res = search(inst)
+            got = (res.best_qoe.hex(), res.full_bitrate_plan, res.first_bitrate_idx)
+        except UnboundedDownloadError:
+            got = None
+        assert got == expected
 
 
 def _scalar_dp(inst, reverse=False):
@@ -341,30 +384,6 @@ def test_dp_floor_keeps_the_unbounded_tie_break():
         assert res.states_visited < full.states_visited
 
 
-@st.composite
-def _tied_instances(draw):
-    """Instances whose plans often tie exactly: integer rungs, rates on a
-    0.5 Mbps grid, start and buffer on a 0.5 s grid. The handoff point
-    is left to the test, which tries every one."""
-    horizon = draw(st.integers(2, 4))
-    sim = SimConfig(
-        max_buffer_s=draw(st.sampled_from((8.0, 60.0))),
-        dt_s=draw(st.sampled_from((0.5, 1.0, 2.0))),
-    )
-    rates = st.lists(st.integers(1, 16).map(lambda k: k / 2), min_size=4, max_size=12)
-    return PlanInstance(
-        horizon=horizon,
-        buffer_s=draw(st.integers(0, 16)) / 2,
-        last_bitrate_idx=draw(st.integers(0, 5)),
-        start_t=draw(st.integers(0, 8)) / 2,
-        handoff_chunk=None,
-        current_link=RateSeries(0.0, draw(st.sampled_from((0.5, 1.0))), draw(rates)),
-        target_link=RateSeries(0.0, draw(st.sampled_from((0.5, 1.0))), draw(rates)),
-        video=VideoSpec(bitrate_ladder_mbps=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
-        sim=sim,
-    )
-
-
 @settings(max_examples=60, deadline=None)
 @given(_tied_instances())
 def test_dp_merge_ignores_stage_order(base):
@@ -402,7 +421,17 @@ def _bounded_prefixes(inst):
 def test_exhaustive_states_visited_counts_simulated_prefixes(sim_cfg, ladder, full):
     video = VideoSpec(bitrate_ladder_mbps=ladder)
     assert full == sum(len(ladder) ** k for k in range(1, 6))
-    assert f_mpc(_instance(video, sim_cfg, cur=10.0)).states_visited == full
+    rich = _instance(video, sim_cfg, cur=10.0)
+    walk = planners._plan_exhaustive(rich)
+    assert walk.states_visited == full
+    # f_mpc bounds the same walk. Its first descent, along the top rung,
+    # sets a best that no other child's bound reaches: it simulates the
+    # ladder once per chunk and returns the full walk's QoE and plan.
+    res = f_mpc(rich)
+    assert (res.best_qoe.hex(), res.full_bitrate_plan) == (
+        walk.best_qoe.hex(), walk.full_bitrate_plan
+    )
+    assert res.states_visited == 5 * len(ladder) < full
     # The target link dies at t = 3 s: prefixes stranded there are pruned.
     dying = RateSeries(0.0, 1.0, [4.0, 4.0, 4.0, 0.0])
     inst = _instance(video, sim_cfg, cur=10.0, new=dying, h=2)
