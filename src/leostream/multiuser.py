@@ -416,8 +416,8 @@ def _best_option(
     """Best option for one user given a target satellite assignment, None
     when every plan is unbounded. Staying is one option; handing off to
     another target is one option per handoff point, which one memo.options
-    call (solve_options) takes best-first, each point above the best point
-    solved before it."""
+    call (solve_options) takes best-first, each point above the best
+    constant-rung plan and the best point solved before it."""
     stay = replace(view.stay, current_link=view.stay.current_link.scaled(scale_cur))
     if target == view.current_satellite:
         options = [(target, stay)]

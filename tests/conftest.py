@@ -1,9 +1,11 @@
+import math
 import time
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
+from leostream import planners
 from leostream.simcore import (
     SessionResult,
     SimConfig,
@@ -80,6 +82,34 @@ def reference_session(trace, controller, video, cfg) -> SessionResult:
         decisions=tuple(decisions),
         decision_latencies_s=tuple(latencies),
     )
+
+
+def step_seed(options) -> float:
+    """The floor solve_options starts a step at: the best constant-rung
+    plan's QoE when the step has more than one option, else -inf."""
+    if len(options) < 2:
+        return -math.inf
+    return max(planners._incumbent(inst) for _, inst in options)
+
+
+def assert_best_first_floors(solves, n_options, seed):
+    """Check the floors of one solve_options step against its contract.
+
+    solves lists each solve as (floor, QoE), in solve order, with QoE None
+    when the solve found no plan. Each of the n_options options is solved
+    once above the higher of seed and the best QoE found before it. When
+    seed is finite and no option reaches it, the step is solved once more
+    from -inf.
+    """
+    starts = [seed]
+    if seed > -math.inf and all(qoe is None for _, qoe in solves[:n_options]):
+        starts.append(-math.inf)
+    assert len(solves) == n_options * len(starts)
+    for k, best in enumerate(starts):
+        for floor, qoe in solves[k * n_options:(k + 1) * n_options]:
+            assert floor == best
+            if qoe is not None:
+                best = max(best, qoe)
 
 
 @pytest.fixture(scope="session")

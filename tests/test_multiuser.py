@@ -45,7 +45,13 @@ from leostream.simcore import (
 )
 from leostream.traces import TraceGenConfig, gen_trace_set, inject_obstructions
 
-from conftest import make_flat_trace, reference_session, suite_trace
+from conftest import (
+    assert_best_first_floors,
+    make_flat_trace,
+    reference_session,
+    step_seed,
+    suite_trace,
+)
 
 
 def test_allocate_equal_split():
@@ -648,17 +654,20 @@ class _Unfloored(SolveMemo):
 class _FloorLog(SolveMemo):
     """A memo that solves every step anew and logs, per step and in solve
     order, each solve's handoff chunk (None for the stay), floor and QoE
-    (None when the solve found no plan)."""
+    (None when the solve found no plan). steps holds each step's option
+    count and seed."""
 
-    __slots__ = ("calls",)
+    __slots__ = ("calls", "steps")
 
     def __init__(self):
         super().__init__()
         self.calls = []
+        self.steps = []
 
     def options(self, solver, options):
         log = []
         self.calls.append(log)
+        self.steps.append((len(options), step_seed(options)))
 
         def logged(inst, *floor):
             entry = (inst.handoff_chunk, floor[0] if floor else -math.inf)
@@ -734,21 +743,20 @@ def test_floored_joint_decisions_match_solving_in_full(mode, video6, sim_cfg):
         # The loop gives every controller with a memo its own; _Choices
         # takes that one, so ctrl keeps the memo set here. The floored log
         # holds one step per decision, and every option of a decision is
-        # solved once in it. Dumping candidates asks each option as a lone
-        # set.
-        floored, dumped = floored.calls, dumped.calls
+        # solved once in it (twice when its seeded pass keeps nothing).
+        # Dumping candidates asks each option as a lone set.
+        steps, floored, dumped = floored.steps, floored.calls, dumped.calls
         assert len(floored) == full.steps == len(runs[0][0])
-        assert len(dumped) == sum(map(len, floored))
+        assert len(dumped) == sum(n for n, _ in steps)
         assert all(len(solves) == 1 for solves in dumped)
-        # Options are solved best-first: the first in full and each later
-        # one above the best option solved before it in the same
-        # decision; dumping candidates solves every option in full.
-        for solves in floored:
-            best = -math.inf
-            for _, floor, qoe in solves:
-                assert floor == best
-                if qoe is not None:
-                    best = max(best, qoe)
+        # Options are solved best-first: the first above the step's seed
+        # (the best constant-rung plan, when the step has more than one
+        # option) and each later one above the best option solved before
+        # it in the same decision, if higher; dumping candidates solves
+        # every option in full.
+        for (n, seed), solves in zip(steps, floored):
+            assert_best_first_floors([(floor, qoe) for _, floor, qoe in solves], n, seed)
+        assert any(seed > -math.inf for _, seed in steps)
         assert all(floor == -math.inf for solves in dumped for _, floor, _ in solves)
         if trace is traces[0]:
             # Before satellite 0 sets, some decision solves a handoff
@@ -899,11 +907,18 @@ def test_memo_replays_steps_with_no_plan_at_every_instant(video, sim_cfg):
     lone = [(0, view.stay)]
     pair = [*lone, *handoff_instances(view.stay, view.targets)]
     assert len(pair) == 2
+    seed = step_seed(pair)
     for _ in range(3):
         assert memo.options(unbounded, lone) == []
-        # The first option solved is solved in full, the second above it.
         assert len(memo.options(below_floor, pair)) == 1
-    assert len(calls) == 3
+    # Both options are solved above the seed and neither reaches it, so the
+    # step is solved again as an unseeded step is: the first option in full
+    # and the second above it.
+    (first, _), (second, _) = calls[1:3]
+    assert {first, second} == {inst for _, inst in pair}
+    assert seed > -math.inf
+    first_qoe = f_sat_dpmpc(first).best_qoe
+    assert calls == [view.stay, (first, seed), (second, seed), (first,), (second, first_qoe)]
     # The memo stores the step's options, not the solver's exception.
     assert [len(step) for step in memo._steps.values()] == [0, 1]
 

@@ -44,7 +44,7 @@ from leostream.simcore import (
 )
 from leostream.traces import TraceGenConfig, TraceSet, gen_trace_set, inject_obstructions
 
-from conftest import make_flat_trace, suite_trace
+from conftest import assert_best_first_floors, make_flat_trace, step_seed, suite_trace
 
 
 def _instance(video, cfg, buffer_s=8.0, last_idx=0, start_t=0.0, h=None,
@@ -323,10 +323,19 @@ def test_dp_matches_scalar_reference_and_reevaluates_exactly(inst, dt):
     assert res.best_qoe <= exhaustive(inst).best_qoe
 
 
-@settings(max_examples=200)
-@given(_plan_instances(), st.sampled_from((0.25, 1.0)), st.floats(0.0, 20.0))
-def test_dp_floor_returns_the_unbounded_plan_or_below_floor(inst, dt, gap):
-    inst = dataclasses.replace(inst, sim=dataclasses.replace(inst.sim, dt_s=dt))
+@settings(max_examples=300)
+@given(
+    _plan_instances() | _tied_instances(), _weights(), st.sampled_from((0.25, 0.5, 1.0, 2.0)),
+    st.floats(0.0, 20.0), st.integers(0, 4),
+)
+def test_dp_floor_returns_the_unbounded_plan_or_below_floor(inst, weights, dt, gap, h):
+    # The floor skips a state by the rebuffer-free ceiling of the chunks
+    # left, which the QoE weights set; mu1 = 0 makes it 0. Tied instances
+    # make plans tie exactly, so floors land exactly on plan values; they
+    # hand off at point h, or nowhere when h is 0 or past the horizon.
+    inst = dataclasses.replace(inst, sim=dataclasses.replace(inst.sim, dt_s=dt, **weights))
+    if inst.handoff_chunk is None and inst.target_link is not None:
+        inst = dataclasses.replace(inst, handoff_chunk=h if 0 < h <= inst.horizon else None)
     try:
         full = f_sat_dpmpc(inst)
     except UnboundedDownloadError:
@@ -1060,6 +1069,14 @@ def _solved(inst, floor=-math.inf):
 
 @settings(max_examples=300)
 @given(_option_sets())
+# Every link is dry from the start: every plan of every option is
+# unbounded, so there is no seed and each option is solved once, in full.
+@example((
+    dataclasses.replace(
+        _instance(VideoSpec(), SimConfig(), horizon=2), current_link=RateSeries(0.0, 1.0, [0.0])
+    ),
+    {1: RateSeries(0.0, 1.0, [0.0]), 2: RateSeries(0.0, 0.5, [0.0])},
+))
 def test_best_first_options_choose_the_option_solving_all_in_full_chooses(option_set):
     stay, targets = option_set
     instances = [(0, stay), *handoff_instances(stay, targets)]
@@ -1087,10 +1104,7 @@ def test_best_first_options_choose_the_option_solving_all_in_full_chooses(option
         if (res := _solved(inst)) is not None
     ]
     assert chosen(solve_options(instances, solver)) == chosen(full)
-    # Every option is solved once, above the best QoE found before it.
-    assert len(log) == len(instances)
-    best = -math.inf
-    for floor, qoe in log:
-        assert floor == best
-        if qoe is not None:
-            best = max(best, qoe)
+    # Every option is solved once, above the higher of the step's seed and
+    # the best QoE found before it; a seeded pass that keeps nothing is
+    # followed by one from -inf, and with no seed there is one pass.
+    assert_best_first_floors(log, len(instances), step_seed(instances))
