@@ -127,9 +127,19 @@ class MultiUserResult:
     per_user: list[QoEBreakdown | None]
     failures: dict[int, str]
     qos: float
-    share_events: list[ShareEvent]
+    # (time, satellite, (active users, capacity, background)) at each change.
+    share_log: list[tuple[float, int, tuple]]
     decisions: list[tuple[Decision, ...]]
     decision_latencies_s: list[tuple[float, ...]]
+
+    @property
+    def share_events(self) -> list[ShareEvent]:
+        """The share log as ShareEvents, the shares recomputed through
+        allocate_shares on each read, as the event loop computed them."""
+        return [
+            ShareEvent(t, sat, active, allocate_shares(capacity, list(active), bg), capacity, bg)
+            for t, sat, (active, capacity, bg) in self.share_log
+        ]
 
 
 class _User:
@@ -225,7 +235,7 @@ def simulate_multi(
         except Exception as exc:
             fail(user, exc)
 
-    share_events: list[ShareEvent] = []
+    share_log: list[tuple[float, int, tuple]] = []
     last_logged: dict[int, tuple] = {}
 
     def complete_chunk(user: _User, finish_t: float) -> None:
@@ -297,20 +307,11 @@ def simulate_multi(
             shares = allocate_shares(capacity, list(active), bg)
             if now < seg_end < t_next:
                 t_next = seg_end
-            # The shares follow from these three, so they need no place here.
+            # The shares follow from these three, so the log keeps only them.
             signature = (active, capacity, bg)
             if last_logged.get(sat_id) != signature:
                 last_logged[sat_id] = signature
-                share_events.append(
-                    ShareEvent(
-                        time_s=pos,
-                        satellite_id=sat_id,
-                        active_users=active,
-                        per_user_mbps=dict(shares),
-                        capacity_mbps=capacity,
-                        background_fraction=bg,
-                    )
-                )
+                share_log.append((pos, sat_id, signature))
             for user in members:
                 rate = user.rate = shares[user.uid]
                 if rate > 0:
@@ -370,7 +371,7 @@ def simulate_multi(
         per_user=per_user,
         failures=failures,
         qos=simcore.qos(b.qoe_total for b in per_user if b is not None),
-        share_events=share_events,
+        share_log=share_log,
         decisions=[tuple(u.decisions) for u in users],
         decision_latencies_s=[tuple(u.latencies) for u in users],
     )

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -149,6 +150,32 @@ def evaluate_plan(inst: PlanInstance, plan) -> float:
     return total
 
 
+@cache
+def chunk_scores(ladder: tuple[float, ...], mu1: float, mu3: float, horizon: int) -> tuple:
+    """The rebuffer-free chunk score as tables, built once per (ladder,
+    mu1, mu3, horizon) and shared read-only: (gain, switch, U).
+
+    gain[b] - switch[p][b], that is mu1*b - mu3*|b - p|, is chunk_qoe of
+    rung b after rung p with no rebuffer, bit for bit. U[k][p], k in
+    [0, horizon], is the best such score summed over k more chunks after
+    rung p. It bounds every continuation because mu2 >= 0 (SimConfig
+    checks it): rebuffering only lowers a chunk's score, and the
+    buffer-cap drain moves only the clock.
+    """
+    gain = tuple(mu1 * b for b in ladder)
+    switch = tuple(tuple(mu3 * abs(b - p) for b in ladder) for p in ladder)
+    ceiling = [(0.0,) * len(ladder)]
+    for _ in range(horizon):
+        after = [g + u for g, u in zip(gain, ceiling[-1])]
+        ceiling.append(tuple(max(a - s for a, s in zip(after, row)) for row in switch))
+    return gain, switch, tuple(ceiling)
+
+
+def _scores(inst: PlanInstance) -> tuple:
+    """chunk_scores for inst's ladder, weights and horizon."""
+    return chunk_scores(inst.video.bitrate_ladder_mbps, inst.sim.mu1, inst.sim.mu3, inst.horizon)
+
+
 def _child_expander(inst: PlanInstance):
     """Child expansion shared by the exhaustive search and the DP.
 
@@ -158,16 +185,14 @@ def _child_expander(inst: PlanInstance):
     settle_chunk and chunk_qoe would, bit for bit: the waits of the
     whole ladder come from one piecewise_downloads walk (the handoff
     chunk adds the delay to the start and to the result, as _chunk_wait
-    does), mu1*b and mu3*|b - p| are precomputed per solve, and q keeps
+    does), mu1*b and mu3*|b - p| come from chunk_scores, and q keeps
     chunk_qoe's association, total + ((mu1*b - mu2*rebuf) - mu3*|b - p|).
     """
-    ladder = inst.video.bitrate_ladder_mbps
     sizes = inst.video.chunk_sizes_mb
     sim = inst.sim
     rtt_s, delay_s, mu2 = sim.rtt_s, sim.handoff_delay_s, sim.mu2
     chunk_s, max_buffer_s = inst.video.chunk_duration_s, sim.max_buffer_s
-    gain = [sim.mu1 * b for b in ladder]
-    switch = [[sim.mu3 * abs(b - p) for b in ladder] for p in ladder]
+    gain, switch, _ = _scores(inst)
     h = inst.handoff_chunk
     current, target = inst.current_link, inst.target_link
 
@@ -203,21 +228,6 @@ def _child_expander(inst: PlanInstance):
     return expand
 
 
-def _rebuffer_free_ceiling(inst: PlanInstance) -> list[list[float]]:
-    """U[k][p] for k in [0, horizon]: the best rebuffer-free score of k
-    more chunks after rung p, the max over rung sequences of
-    sum(mu1*b - mu3*|b - prev|)."""
-    ladder = inst.video.bitrate_ladder_mbps
-    mu1, mu3 = inst.sim.mu1, inst.sim.mu3
-    ceiling = [[0.0] * len(ladder)]
-    for _ in range(inst.horizon):
-        after = [mu1 * b + u for b, u in zip(ladder, ceiling[-1])]
-        ceiling.append([
-            max(a - mu3 * abs(b - p) for a, b in zip(after, ladder)) for p in ladder
-        ])
-    return ceiling
-
-
 def _plan_exhaustive(inst: PlanInstance, bounded: bool = False) -> PlanResult:
     """The best of the |R|^F plans, scored as evaluate_plan would score it.
 
@@ -234,9 +244,7 @@ def _plan_exhaustive(inst: PlanInstance, bounded: bool = False) -> PlanResult:
 
     bounded skips a child at chunk n, with QoE so far q and rung p, when
     q + U + 1e-9*(|q| + |U| + 1) < best, where U = U[F - n][p] of
-    _rebuffer_free_ceiling. U bounds every continuation because mu2 >= 0
-    (SimConfig checks it): rebuffering only lowers a chunk's score, and
-    the buffer-cap drain moves only the clock. The slack covers the
+    chunk_scores, which bounds every continuation. The slack covers the
     rounding of the sums, so no plan scoring >= best is skipped and the
     result is the full walk's, QoE and plan bit for bit. states_visited
     counts the simulated prefixes (those whose download is bounded),
@@ -244,7 +252,7 @@ def _plan_exhaustive(inst: PlanInstance, bounded: bool = False) -> PlanResult:
     """
     expand = _child_expander(inst)
     horizon = inst.horizon
-    ceiling = _rebuffer_free_ceiling(inst) if bounded else None
+    ceiling = _scores(inst)[2] if bounded else None
     plan = [0] * horizon
     best_q = NEG_INF
     best_plan = None
@@ -312,14 +320,13 @@ def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
     floor asks only for a plan scoring >= floor: the result is the
     unbounded DP's, bit for bit, when its best plan reaches floor, and
     BelowFloorError, with the states kept so far, is raised otherwise.
-    The default floor prunes nothing and builds no ceiling. A state at
-    chunk n with QoE q and rung p is not expanded when
+    A state at chunk n with QoE q and rung p is not expanded when
     q + U + 1e-9*(|q| + |U| + 1) < floor, where U = U[F - n + 1][p] of
-    _rebuffer_free_ceiling, the bound the exhaustive search skips by. U
-    bounds the F - n + 1 chunks left because mu2 >= 0, and the slack
-    covers the rounding of the sums, so every state on the path of a plan
-    scoring >= floor is expanded, with the values the unbounded DP gives
-    it.
+    chunk_scores, the bound the exhaustive search skips by; the default
+    floor, -inf, skips nothing. U bounds the F - n + 1 chunks left, and
+    the slack covers the rounding of the sums, so every state on the path
+    of a plan scoring >= floor is expanded, with the values the unbounded
+    DP gives it.
 
     A merge keeps the child with the highest QoE and, on an exact tie,
     the one with the earlier clock, then the fuller buffer, then the
@@ -330,7 +337,7 @@ def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
     """
     dt = inst.sim.dt_s
     expand = _child_expander(inst)
-    ceiling = _rebuffer_free_ceiling(inst) if floor > NEG_INF else None
+    ceiling = _scores(inst)[2]
     init_key = (
         int(inst.start_t / dt),
         int(inst.buffer_s / dt),
@@ -345,13 +352,12 @@ def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
 
     for n in range(1, inst.horizon + 1):
         new_stage: dict = {}
-        ceiling_row = ceiling[inst.horizon - n + 1] if ceiling is not None else None
+        ceiling_row = ceiling[inst.horizon - n + 1]
         for key, (q, t, buf, _) in stage.items():
-            if ceiling_row is not None:
-                u = ceiling_row[key[2]]
-                if q + u + 1e-9 * (abs(q) + abs(u) + 1.0) < floor:
-                    skipped = True
-                    continue
+            u = ceiling_row[key[2]]
+            if q + u + 1e-9 * (abs(q) + abs(u) + 1.0) < floor:
+                skipped = True
+                continue
             for rate_idx, new_t, new_buf, new_q in expand(n, t, buf, key[2], q):
                 new_key = (int(new_t / dt), int(new_buf / dt), rate_idx)
                 cur = new_stage.get(new_key)
@@ -536,29 +542,21 @@ def solve_options(options: list[tuple[int, PlanInstance]], solver) -> list[PlanO
         incumbents = [_incumbent(inst) for _, inst in options]
         order = sorted(order, key=lambda i: -incumbents[i])
         seed = incumbents[order[0]]
-    if seed > NEG_INF:
-        solved = _solve_in_order(options, order, seed, solver)
-        if solved:
-            return solved
-    return _solve_in_order(options, order, NEG_INF, solver)
-
-
-def _solve_in_order(
-    options: list[tuple[int, PlanInstance]], order, floor: float, solver
-) -> list[PlanOption]:
-    """solve_options' pass over options in order, each option solved above
-    the higher of floor and the best QoE found before it (in full while
-    that is -inf)."""
-    solved = {}
-    for i in order:
-        satellite, inst = options[i]
-        try:
-            res = solver(inst) if floor == NEG_INF else solver(inst, floor)
-        except (UnboundedDownloadError, BelowFloorError):
-            continue
-        solved[i] = PlanOption(satellite, inst.handoff_chunk, res)
-        floor = max(floor, res.best_qoe)
-    return [solved[i] for i in sorted(solved)]
+    # The seeded pass, then the unseeded one if it keeps nothing (at once
+    # when there is no seed).
+    for start in (seed, NEG_INF):
+        solved = {}
+        floor = start
+        for i in order:
+            satellite, inst = options[i]
+            try:
+                res = solver(inst) if floor == NEG_INF else solver(inst, floor)
+            except (UnboundedDownloadError, BelowFloorError):
+                continue
+            solved[i] = PlanOption(satellite, inst.handoff_chunk, res)
+            floor = max(floor, res.best_qoe)
+        if solved or start == NEG_INF:
+            return [solved[i] for i in sorted(solved)]
 
 
 class SolveMemo:
@@ -878,11 +876,10 @@ def offline_optimal_plan(
     rule, which does not depend on stage order.
     """
     dt = cfg.dt_s
-    ladder = np.asarray(video.bitrate_ladder_mbps)
     sizes = video.chunk_sizes_mb
     n_rungs = len(sizes)
-    gain = cfg.mu1 * ladder
-    switch = cfg.mu3 * np.abs(ladder[None, :] - ladder[:, None])  # [prev, rung]
+    gain, switch, _ = chunk_scores(video.bitrate_ladder_mbps, cfg.mu1, cfg.mu3, 0)
+    gain, switch = np.asarray(gain), np.asarray(switch)  # switch[prev, rung]
     delay, chunk_s, max_buf = cfg.handoff_delay_s, video.chunk_duration_s, cfg.max_buffer_s
     sat_ids = np.array(trace.sat_ids)
     series = [RateSeries.for_satellite(trace, sat) for sat in trace.sat_ids]

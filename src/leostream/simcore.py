@@ -48,12 +48,14 @@ class VideoSpec:
             raise ValueError("n_chunks must be >= 1")
         if not 0 < self.chunk_duration_s < math.inf:
             raise ValueError("chunk_duration_s must be finite and > 0")
-        ladder = self.bitrate_ladder_mbps
+        ladder = tuple(self.bitrate_ladder_mbps)
         if not ladder or not all(0 < b < math.inf for b in ladder):
             raise ValueError("bitrate ladder entries must be finite and > 0")
         if any(a >= b for a, b in zip(ladder, ladder[1:])):
             raise ValueError("bitrate ladder must be strictly ascending")
-        sizes = tuple(b * self.chunk_duration_s for b in ladder)
+        # A tuple of floats: the planners hash it (solve memo, score tables).
+        object.__setattr__(self, "bitrate_ladder_mbps", tuple(map(float, ladder)))
+        sizes = tuple(b * self.chunk_duration_s for b in self.bitrate_ladder_mbps)
         object.__setattr__(self, "chunk_sizes_mb", sizes)
 
     def chunk_mb(self, bitrate_idx: int) -> float:

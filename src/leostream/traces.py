@@ -462,6 +462,12 @@ def read_trace(path: str | Path) -> TraceSet:
     sample_dt = float(sidecar["sample_dt"])
     n_samples = int(sidecar["n_samples"])
 
+    # One parse rule per numeric column, in TRACE_CSV_HEADER's order.
+    rules = tuple(zip(
+        TRACE_CSV_HEADER.split(","),
+        (float, int, float, float),
+        ("bad time", "bad id", "bad throughput", "bad elevation"),
+    ))
     per_sat: dict[int, dict[int, tuple[float, float, bool]]] = {}
     with path.open(encoding="utf-8") as f:
         header = f.readline().strip()
@@ -476,30 +482,19 @@ def read_trace(path: str | Path) -> TraceSet:
                 raise TraceFormatError(
                     f"expected 5 fields, got {len(parts)}", line=lineno
                 )
-            try:
-                t = float(parts[0])
-            except ValueError:
-                raise TraceFormatError("bad time", line=lineno, column="t_s") from None
-            try:
-                sat_id = int(parts[1])
-            except ValueError:
-                raise TraceFormatError("bad id", line=lineno, column="sat_id") from None
-            try:
-                thr = float(parts[2])
-            except ValueError:
-                raise TraceFormatError(
-                    "bad throughput", line=lineno, column="throughput_mbps"
-                ) from None
-            if thr < 0:
-                raise TraceFormatError(
-                    f"negative throughput {thr}", line=lineno, column="throughput_mbps"
-                )
-            try:
-                elev = float(parts[3])
-            except ValueError:
-                raise TraceFormatError(
-                    "bad elevation", line=lineno, column="elevation_deg"
-                ) from None
+            values = []
+            for part, (column, parse, message) in zip(parts, rules):
+                try:
+                    value = parse(part)
+                except ValueError:
+                    raise TraceFormatError(message, line=lineno, column=column) from None
+                # A negative throughput is reported before the elevation is read.
+                if column == "throughput_mbps" and value < 0:
+                    raise TraceFormatError(
+                        f"negative throughput {value}", line=lineno, column=column
+                    )
+                values.append(value)
+            t, sat_id, thr, elev = values
             if parts[4] not in ("0", "1"):
                 raise TraceFormatError(
                     f"bad visibility flag {parts[4]!r}", line=lineno, column="visible"

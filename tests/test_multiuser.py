@@ -1010,3 +1010,21 @@ def test_split_centralized_users_solve_each_step_once(video, sim_cfg, monkeypatc
     assert any(len(starts) > 1 for starts in instants)
     assert solved
     assert len(solved) == len(set(solved))
+
+
+def test_the_loop_logs_share_signatures_and_builds_events_on_read(video, sim_cfg, monkeypatch):
+    made = []
+    share_event = multiuser.ShareEvent
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return share_event(*args, **kwargs)
+
+    monkeypatch.setattr(multiuser, "ShareEvent", counting)
+    scenario = MultiUserScenario(
+        trace=suite_trace(1), controllers=[SeparateController(video, sim_cfg, strategy="mb")]
+    )
+    result = simulate_multi(scenario, video, sim_cfg, seed=1)
+    assert made == []
+    events = result.share_events
+    assert len(made) == len(result.share_log) == len(events) > 0

@@ -17,6 +17,7 @@ from leostream.planners import (
     SeparateController,
     _chunk_wait,
     baseline_handoff,
+    chunk_scores,
     evaluate_plan,
     f_mpc,
     f_sat_dpmpc,
@@ -1108,3 +1109,58 @@ def test_best_first_options_choose_the_option_solving_all_in_full_chooses(option
     # the best QoE found before it; a seeded pass that keeps nothing is
     # followed by one from -inf, and with no seed there is one pass.
     assert_best_first_floors(log, len(instances), step_seed(instances))
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.floats(0.1, 10.0), min_size=2, max_size=6, unique=True).map(sorted),
+    st.sampled_from((0.0, 0.5, 1.0, 3.0)),
+    st.sampled_from((0.0, 0.5, 1.0, 3.0)),
+    st.integers(1, 4),
+)
+def test_chunk_scores_table_the_rebuffer_free_chunk_score(ladder, mu1, mu3, horizon):
+    ladder = tuple(ladder)
+    cfg = SimConfig(mu1=mu1, mu3=mu3)
+    gain, switch, ceiling = chunk_scores(ladder, mu1, mu3, horizon)
+    rungs = range(len(ladder))
+    for p in rungs:
+        for b in rungs:
+            score = chunk_qoe(ladder[p], ladder[b], 0.0, cfg)
+            assert (gain[b] - switch[p][b]).hex() == score.hex()
+    assert len(ceiling) == horizon + 1
+    for k in range(horizon + 1):
+        for p in rungs:
+            u = ceiling[k][p]
+            best = -math.inf
+            for seq in itertools.product(rungs, repeat=k):
+                # Summed from the last chunk back, as the table sums: U
+                # bounds every sequence exactly.
+                back = 0.0
+                for prev, b in reversed(list(zip((p, *seq), seq))):
+                    back = (gain[b] + back) - switch[prev][b]
+                assert u >= back
+                # Summed forward, as the searches accumulate QoE.
+                total = 0.0
+                for prev, b in zip((p, *seq), seq):
+                    total += gain[b] - switch[prev][b]
+                best = max(best, total)
+            assert abs(u - best) <= 1e-9 * (abs(best) + 1.0)
+    assert chunk_scores(tuple(list(ladder)), mu1, mu3, horizon) is chunk_scores(
+        ladder, mu1, mu3, horizon
+    )
+
+
+@pytest.mark.parametrize("name", ["joint:dual", "separate:mb"])
+def test_a_list_ladder_plans_as_its_tuple(name, sim_cfg):
+    trace = suite_trace(2)
+    listed = VideoSpec(n_chunks=12, bitrate_ladder_mbps=[0.3, 1.2, 2.85])
+    tupled = VideoSpec(n_chunks=12, bitrate_ladder_mbps=(0.3, 1.2, 2.85))
+    assert listed.bitrate_ladder_mbps == tupled.bitrate_ladder_mbps
+    assert listed == tupled and hash(listed) == hash(tupled)
+    runs = [
+        run_session(trace, build_controller(name, video, sim_cfg, "robust", 5), video, sim_cfg)
+        for video in (listed, tupled)
+    ]
+    assert runs[0].breakdown == runs[1].breakdown
+    assert runs[0].decisions == runs[1].decisions
+    assert offline_optimal(trace, listed, sim_cfg) == offline_optimal(trace, tupled, sim_cfg)

@@ -32,5 +32,5 @@ def test_readme_library_example_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
-    printed = re.fullmatch(r"online (-?\d+\.\d+)  offline bound (-?\d+\.\d+)\n", out.getvalue())
+    printed = re.fullmatch(r"online (-?\d+\.\d+)  offline reference (-?\d+\.\d+)\n", out.getvalue())
     assert float(printed.group(1)) <= float(printed.group(2))

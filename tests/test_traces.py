@@ -372,3 +372,51 @@ def test_read_missing_sidecar(tmp_path):
     (tmp_path / "trace.meta.json").unlink()
     with pytest.raises(TraceFormatError, match="sidecar"):
         read_trace(path)
+
+
+def _set_line(index, text):
+    def edit(lines):
+        lines[index] = text
+        return lines
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message, line, column",
+    [
+        (_set_line(1, "x,0,5.000000,90.000000,1"), "bad time", 2, "t_s"),
+        (_set_line(1, "0.000,a,5.000000,90.000000,1"), "bad id", 2, "sat_id"),
+        (_set_line(1, "0.000,0,fast,90.000000,1"), "bad throughput", 2, "throughput_mbps"),
+        (_set_line(1, "0.000,0,-5.000000,90.000000,1"), "negative throughput -5.0", 2,
+         "throughput_mbps"),
+        (_set_line(1, "0.000,0,5.000000,high,1"), "bad elevation", 2, "elevation_deg"),
+        # Two faults in one row: the throughput's is reported, as before.
+        (_set_line(1, "0.000,0,-5.000000,high,1"), "negative throughput -5.0", 2,
+         "throughput_mbps"),
+        (_set_line(1, "0.000,0,5.000000,90.000000"), "expected 5 fields, got 4", 2, None),
+        (_set_line(1, "0.000,0,5.000000,90.000000,1,1"), "expected 5 fields, got 6", 2, None),
+        (_set_line(1, "0.000,0,5.000000,90.000000,yes"), "bad visibility flag 'yes'", 2,
+         "visible"),
+        (_set_line(2, "0.500,0,5.000000,90.000000,1"), "time 0.5 off the 1.0-s grid", 3, "t_s"),
+        (_set_line(2, "9.000,0,5.000000,90.000000,1"), "time 9.0 off the 1.0-s grid", 3, "t_s"),
+        (_set_line(2, "0.000,0,5.000000,90.000000,1"), "duplicate sample for satellite 0", 3,
+         None),
+        (_set_line(0, "t_s,sat_id,throughput_mbps"),
+         "unexpected header 't_s,sat_id,throughput_mbps'", 1, None),
+        (lambda lines: lines[:1], "empty trace file", None, None),
+        (lambda lines: [], "unexpected header ''", 1, None),
+    ],
+)
+def test_read_rejects_each_malformed_row(tmp_path, edit, message, line, column):
+    trace = make_flat_trace([5.0], duration_s=4.0)
+    path = tmp_path / "trace.csv"
+    write_trace(trace, path)
+    lines = edit(path.read_text().splitlines())
+    path.write_text("".join(f"{text}\n" for text in lines))
+    with pytest.raises(TraceFormatError) as err:
+        read_trace(path)
+    prefix = "" if line is None else f"line {line}: "
+    suffix = "" if column is None else f" (column {column!r})"
+    assert str(err.value) == f"{prefix}{message}{suffix}"
+    assert (err.value.line, err.value.column) == (line, column)
