@@ -238,30 +238,45 @@ def piecewise_downloads(
     Entry k is bit-identical to piecewise_download(series, start_t,
     sizes_mb[k], rtt_s), or None where that call raises
     UnboundedDownloadError. The segment times do not depend on the size
-    and every pending size subtracts the same per-segment product, so
+    and every size subtracts the same per-segment transfer, so
     remainders stay in ascending order (IEEE rounding is monotone) and
-    sizes finish in order: each segment retires a prefix of the pending
-    sizes.
+    sizes finish in order: each segment retires a prefix of the sizes.
+
+    So the walk carries only the smallest unfinished size's remainder: a
+    segment costs one rate_and_edge lookup, one finish test and one
+    subtraction, whatever the number of sizes. Each positive segment's
+    transfer is logged; when a size finishes, the next one catches up by
+    subtracting the logged transfers in order. Its remainder then has the
+    bits the per-size walk would give it, from the same subtractions in
+    the same order, and the walk looks up exactly the segments the
+    per-size walk of the largest size does.
     """
+    n = len(sizes_mb)
     waits: list[float | None] = []
-    pending = sizes_mb  # remainders of the sizes not finished yet, ascending
+    if not n:
+        return waits
+    lookup = series.rate_and_edge
+    transfers: list[float] = []  # each positive segment's transfer, in walk order
+    remaining = sizes_mb[0]  # of the smallest unfinished size
     t = start_t + rtt_s
     while True:
-        rate, seg_end = series.rate_and_edge(t)
+        rate, seg_end = lookup(t)
         if rate > 0:
-            done = 0
-            for remaining in pending:
-                finish = t + remaining / rate
-                if not finish <= seg_end:
-                    break
+            finish = t + remaining / rate
+            while finish <= seg_end:
                 waits.append(finish - start_t)
-                done += 1
-            else:
-                return waits
+                done = len(waits)
+                if done == n:
+                    return waits
+                remaining = sizes_mb[done]
+                for used in transfers:
+                    remaining = remaining - used
+                finish = t + remaining / rate
             used = rate * (seg_end - t)
-            pending = [remaining - used for remaining in pending[done:]]
+            transfers.append(used)
+            remaining = remaining - used
         elif seg_end == math.inf:
-            return waits + [None] * len(pending)
+            return waits + [None] * (n - len(waits))
         t = seg_end
 
 

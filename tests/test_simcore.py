@@ -198,6 +198,64 @@ def test_piecewise_downloads_matches_per_size_walk(case):
             assert piecewise_download(series, start_t, size, rtt_s) == wait
 
 
+class _CountingSeries(RateSeries):
+    """A RateSeries that counts its rate_and_edge lookups."""
+
+    lookups = 0
+
+    def rate_and_edge(self, t):
+        self.lookups += 1
+        return super().rate_and_edge(t)
+
+
+@st.composite
+def _long_walk_cases(draw):
+    """20-60 samples in runs of zeros and of positive rates, an optional
+    zero tail, off-grid anchors; starts before the anchor, exactly on a
+    sample edge or anywhere; 1-8 sizes large enough to cross many
+    segments, with an equal pair at times."""
+    n = draw(st.integers(20, 60))
+    rates: list[float] = []
+    while len(rates) < n:
+        if draw(st.booleans()):
+            rates += [0.0] * draw(st.integers(1, 6))
+        else:
+            rates += draw(st.lists(st.floats(0.05, 12.0), min_size=1, max_size=8))
+    rates = rates[:n]
+    if draw(st.booleans()):
+        tail = draw(st.integers(1, 5))
+        rates[-tail:] = [0.0] * tail
+    anchor = draw(st.just(0.0) | st.floats(-3.0, 3.0))
+    dt = draw(st.sampled_from((0.3, 0.5, 1.0, 2.0)))
+    series = _CountingSeries(anchor, dt, rates)
+    start_t = draw(
+        st.floats(anchor - 5.0, anchor)  # before the anchor
+        | st.integers(0, n).map(lambda j: anchor + j * dt)  # on an edge
+        | st.floats(anchor, anchor + n * dt)
+    )
+    sizes = draw(st.lists(st.floats(0.01, 60.0), min_size=1, max_size=8))
+    if len(sizes) > 1 and draw(st.booleans()):
+        sizes[-1] = sizes[0]
+    return series, start_t, sorted(sizes), draw(st.sampled_from((0.0, 0.08)))
+
+
+@settings(max_examples=300)
+@given(_long_walk_cases())
+def test_piecewise_downloads_long_walks_match_per_size_walk_bits_and_lookups(case):
+    series, start_t, sizes, rtt_s = case
+    assert piecewise_downloads(series, start_t, [], rtt_s) == []
+    series.lookups = 0
+    waits = piecewise_downloads(series, start_t, sizes, rtt_s)
+    walk_lookups = series.lookups
+    expected = [_reference_download(series, start_t, size, rtt_s) for size in sizes]
+    assert [None if w is None else w.hex() for w in waits] == [
+        None if w is None else w.hex() for w in expected
+    ]
+    series.lookups = 0
+    _reference_download(series, start_t, sizes[-1], rtt_s)
+    assert walk_lookups == series.lookups
+
+
 def test_next_positive_table():
     series = RateSeries(0.0, 1.0, [0.0, 0.0, 3.0, 0.0, 2.0, 0.0])
     assert series.next_positive().tolist() == [2, 2, 2, 4, 4, 6]
