@@ -718,11 +718,13 @@ class JointMpcController(_PredictingController):
     and each later one above the best option found before it, if higher
     (the DP's floor), so an option that cannot win or tie is not solved
     in full, and a stay on a setting satellite can end below the floor a
-    handoff sets. With
-    dump_candidates each option is asked as a lone set, which is solved
-    in full. Only the first action of the winning horizon plan is
-    executed; a handoff happens only when the winner switches before the
-    immediate chunk.
+    handoff sets. The decision always comes from that floored step. With
+    dump_candidates each option is also asked as a lone set, which is
+    solved in full, for candidates.csv, and the decision raises
+    PlanningError unless the best of those is the floored choice, bit for
+    bit. Only the first action of the winning horizon plan is executed; a
+    handoff happens only when the winner switches before the immediate
+    chunk.
     """
 
     def __init__(
@@ -793,30 +795,52 @@ class JointMpcController(_PredictingController):
         view = self.plan_view(state, trace, visible)
         instances = [(cur, view.stay), *handoff_instances(view.stay, view.targets)]
         stats.inner_calls = len(instances)
+        options = self.memo.options(f_sat_dpmpc, instances)
+        stats.chosen = max(options, key=PlanOption.rank, default=None)
         if self.dump_candidates:
-            # candidates.csv lists every option's exact QoE: each option is
-            # a lone set, and a lone option is solved in full.
-            options = [
-                o for option in instances for o in self.memo.options(f_sat_dpmpc, [option])
-            ]
-            self.candidate_rows += [
-                (state.chunk_index, o.satellite, o.handoff_chunk, o.result.best_qoe)
-                for o in options
-                if o.handoff_chunk is not None
-            ]
-        else:
-            options = self.memo.options(f_sat_dpmpc, instances)
+            self._dump_candidates(state.chunk_index, instances, stats.chosen)
 
-        if not options:
+        if stats.chosen is None:
             # Every plan diverged: limp along on the strongest visible signal.
             fallback = trace.strongest_visible(t)
             return Decision(0, fallback, fallback != cur)
 
-        stats.chosen = max(options, key=PlanOption.rank)
         decision = stats.chosen.decision(cur)
         if decision.handoff_now:
             self.record_handoff(state)
         return decision
+
+    def _dump_candidates(
+        self, chunk: int, instances: list[tuple[int, PlanInstance]], chosen: PlanOption | None
+    ) -> None:
+        """Record every handoff option's exact QoE for candidates.csv, and
+        check the floored choice against it.
+
+        Each option is asked as a lone set, which is solved in full. The
+        best of them by PlanOption.rank must be chosen, the option the
+        floored step chose, in satellite, handoff point, QoE bits and plan;
+        PlanningError is raised when it is not.
+        """
+        options = [o for option in instances for o in self.memo.options(f_sat_dpmpc, [option])]
+        self.candidate_rows += [
+            (chunk, o.satellite, o.handoff_chunk, o.result.best_qoe)
+            for o in options
+            if o.handoff_chunk is not None
+        ]
+        best = max(options, key=PlanOption.rank, default=None)
+        if _signature(best) != _signature(chosen):
+            raise PlanningError(
+                f"chunk {chunk}: floored step chose {_signature(chosen)}, "
+                f"options solved in full choose {_signature(best)}"
+            )
+
+
+def _signature(option: PlanOption | None) -> tuple | None:
+    """An option's satellite, handoff point, QoE bits and plan."""
+    if option is None:
+        return None
+    res = option.result
+    return option.satellite, option.handoff_chunk, res.best_qoe.hex(), res.full_bitrate_plan
 
 
 class SeparateController(_PredictingController):

@@ -22,6 +22,7 @@ from leostream.multiuser import (
 from leostream.planners import (
     BelowFloorError,
     JointMpcController,
+    PlanOption,
     PlanningError,
     SeparateController,
     SolveMemo,
@@ -744,20 +745,27 @@ def test_floored_joint_decisions_match_solving_in_full(mode, video6, sim_cfg):
         # takes that one, so ctrl keeps the memo set here. The floored log
         # holds one step per decision, and every option of a decision is
         # solved once in it (twice when its seeded pass keeps nothing).
-        # Dumping candidates asks each option as a lone set.
-        steps, floored, dumped = floored.steps, floored.calls, dumped.calls
+        steps, floored = floored.steps, floored.calls
         assert len(floored) == full.steps == len(runs[0][0])
-        assert len(dumped) == sum(n for n, _ in steps)
-        assert all(len(solves) == 1 for solves in dumped)
         # Options are solved best-first: the first above the step's seed
         # (the best constant-rung plan, when the step has more than one
         # option) and each later one above the best option solved before
-        # it in the same decision, if higher; dumping candidates solves
-        # every option in full.
+        # it in the same decision, if higher.
         for (n, seed), solves in zip(steps, floored):
             assert_best_first_floors([(floor, qoe) for _, floor, qoe in solves], n, seed)
         assert any(seed > -math.inf for _, seed in steps)
-        assert all(floor == -math.inf for solves in dumped for _, floor, _ in solves)
+        # Dumping candidates logs each decision's floored step, as the
+        # floored run does, then asks each of its options as a lone set,
+        # solved once in full.
+        i = 0
+        for step, solves in zip(steps, floored):
+            n = step[0]
+            assert (dumped.steps[i], dumped.calls[i]) == (step, solves)
+            assert dumped.steps[i + 1:i + 1 + n] == [(1, -math.inf)] * n
+            lone = dumped.calls[i + 1:i + 1 + n]
+            assert all(len(s) == 1 and s[0][1] == -math.inf for s in lone)
+            i += 1 + n
+        assert i == len(dumped.calls) == len(dumped.steps)
         if trace is traces[0]:
             # Before satellite 0 sets, some decision solves a handoff
             # first, and the stay then ends below the floor it sets.
@@ -765,6 +773,38 @@ def test_floored_joint_decisions_match_solving_in_full(mode, video6, sim_cfg):
                 solves[0][0] is not None and any(h is None and q is None for h, _, q in solves)
                 for solves in floored
             )
+
+
+class _DropsBest(SolveMemo):
+    """A memo whose steps of more than one option drop their best option
+    by PlanOption.rank."""
+
+    __slots__ = ()
+
+    def options(self, solver, options):
+        step = super().options(solver, options)
+        if len(options) < 2 or not step:
+            return step
+        best = max(step, key=PlanOption.rank)
+        return [o for o in step if o is not best]
+
+
+@pytest.mark.parametrize("mode", ["dual", "manifold"])
+def test_dumped_decisions_check_the_floored_choice(mode, video6, sim_cfg, monkeypatch):
+    def dumped_run(trace):
+        ctrl = JointMpcController(video6, sim_cfg, mode=mode, dump_candidates=True)
+        run_session(trace, ctrl, video6, sim_cfg)
+        return ctrl
+
+    for trace in _floor_traces():
+        assert dumped_run(trace).candidate_rows
+    # A floored step that loses its best option decides otherwise than the
+    # options solved in full, and the dumped decision says so.
+    monkeypatch.setattr(multiuser, "SolveMemo", _DropsBest)
+    with pytest.raises(MultiUserError) as failed:
+        dumped_run(_setting_trace())
+    assert isinstance(failed.value.__cause__, PlanningError)
+    assert "options solved in full choose" in str(failed.value.__cause__)
 
 
 def test_floored_centralized_decisions_match_solving_in_full(video6, sim_cfg):
