@@ -888,16 +888,21 @@ def offline_optimal_plan(
     per-chunk decisions and the DP objective, which equals the realized
     session QoE of those decisions.
 
-    Each chunk is one numpy stage over (state x satellite x rung): the
-    waits come from one piecewise_downloads_many walk per satellite, and
-    the candidates, laid out in stage order, then track order, then
-    ascending rung, are settled and scored elementwise with the scalar
-    DP's floats. The merge keeps the tie rules of a dict filled in that
-    order: a key keeps its first candidate with the highest QoE (a later
-    one replaces it only on a strictly greater value), and the new stage
-    lists keys by their first candidate. The final state is the max over
-    (QoE,) + key. This first-candidate rule is not f_sat_dpmpc's tie
-    rule, which does not depend on stage order.
+    Each chunk is one numpy stage over the (state, visible track) rows:
+    the waits of every row and rung come from one piecewise_downloads_many
+    walk over all satellites' links, and the candidates, laid out in
+    stage order, then track order, then ascending rung, are settled and
+    scored elementwise with the scalar DP's floats. The merge keeps the
+    tie rules of a dict filled in that order: a key keeps its first
+    candidate with the highest QoE (a later one replaces it only on a
+    strictly greater value), and the new stage lists keys by their first
+    candidate. It groups the candidates by one stable argsort of a
+    composite (time cell, buffer cell, track x rung) number whenever the
+    stage's keys span fewer than 2**53 of them, so that the number is
+    exact in floats; on finer grids it falls back to a lexsort of the
+    three parts. The final state is the max over (QoE,) + key. This
+    first-candidate rule is not f_sat_dpmpc's tie rule, which does not
+    depend on stage order.
     """
     dt = cfg.dt_s
     sizes = video.chunk_sizes_mb
@@ -907,8 +912,8 @@ def offline_optimal_plan(
     delay, chunk_s, max_buf = cfg.handoff_delay_s, video.chunk_duration_s, cfg.max_buffer_s
     sat_ids = np.array(trace.sat_ids)
     series = [RateSeries.for_satellite(trace, sat) for sat in trace.sat_ids]
-    n_sats = len(series)
-    n_cells = n_sats * n_rungs
+    n_cells = len(series) * n_rungs
+    visibility = trace.visibility.T  # [sample, track]
     last_sample = trace.n_samples - 1
     start = simcore.initial_state(trace, video, cfg)
 
@@ -917,26 +922,23 @@ def offline_optimal_plan(
         key. Returns the new stage's QoE, time, buffer, rung and satellite
         id, and each new state's parent index. Works in place where it
         can: the candidate arrays dominate the DP's memory."""
-        # clamped_index of every state's time, then the visible tracks.
-        sample = np.clip(t / trace.sample_dt, 0, last_sample).astype(np.int64)
-        visible = trace.visibility[:, sample]
-        waits = np.full((len(q), n_sats, n_rungs), np.nan)
-        for col in range(n_sats):
-            states = np.flatnonzero(visible[col])
-            if not states.size:
-                continue
-            handoff = sat[states] != sat_ids[col]
-            starts = np.where(handoff, t[states] + delay, t[states])
-            dls = piecewise_downloads_many(series[col], starts, sizes, cfg.rtt_s)
-            waits[states, col] = np.where(handoff[:, None], delay + dls, dls)
+        # clamped_index of every state's time, then its visible tracks:
+        # (state, track) rows in stage order, then track order.
+        sample = np.minimum(np.maximum(t / trace.sample_dt, 0), last_sample).astype(np.int64)
+        states, tracks = np.nonzero(visibility[sample])
+        handoff = sat[states] != sat_ids[tracks]
+        starts = np.where(handoff, t[states] + delay, t[states])
+        waits = piecewise_downloads_many(series, starts, sizes, cfg.rtt_s, tracks)
+        waits[handoff] += delay
         waits = waits.ravel()
-        pos = np.flatnonzero(~np.isnan(waits))  # NaN: unbounded or not visible
+        pos = np.flatnonzero(~np.isnan(waits))  # NaN: unbounded
         if not pos.size:
             raise PlanningError(f"offline search dead-ended at chunk {k}")
         wait = waits[pos]
-        parent, cell = np.divmod(pos, n_cells)  # cell: track row * n_rungs + rung
+        row, new_rung = np.divmod(pos, n_rungs)
         del waits, pos
-        new_rung = cell % n_rungs
+        parent = states[row]
+        cell = tracks[row] * n_rungs + new_rung  # (track, rung)
         new_t = t[parent]
         new_t += wait
         # settle_chunk, with the floats of its max(0.0, x) calls.
@@ -960,18 +962,36 @@ def offline_optimal_plan(
 
         # The scalar key (int(t/dt), int(buf/dt), rung, satellite), with the
         # cell standing for (rung, satellite). Integer-valued floats compare
-        # exactly as those ints do, whatever their size. lexsort is stable,
-        # so each key's rows run best QoE first, ties in candidate order:
-        # the first row is the candidate the scalar merge keeps.
+        # exactly as those ints do, whatever their size. Both sorts are
+        # stable, so each key's rows run in candidate order.
         kt, kb = np.trunc(new_t / dt), np.trunc(new_buf / dt)
-        order = np.lexsort((-new_q, cell, kb, kt))
-        kt, kb, key_cell = kt[order], kb[order], cell[order]
-        first = np.flatnonzero(np.r_[
-            True, (kt[1:] != kt[:-1]) | (kb[1:] != kb[:-1]) | (key_cell[1:] != key_cell[:-1])
-        ])
-        del kt, kb, key_cell
-        # Winners listed by the first candidate of their key.
-        keep = order[first][np.argsort(np.minimum.reduceat(order, first))]
+        t_lo, b_lo = kt.min(), kb.min()
+        n_kb = int(kb.max()) - int(b_lo) + 1
+        if (int(kt.max()) - int(t_lo) + 1) * n_kb * n_cells <= 2**53:
+            # One composite key per candidate, every step exact in floats.
+            key = kt - t_lo
+            key *= n_kb
+            key += kb - b_lo
+            key *= n_cells
+            key += cell
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            head = np.concatenate(([True], key[1:] != key[:-1]))  # a key's first row
+            del key
+        else:  # such keys round as floats: compare them one by one
+            order = np.lexsort((cell, kb, kt))
+            kt, kb, key_cell = kt[order], kb[order], cell[order]
+            head = np.concatenate(([True], (kt[1:] != kt[:-1]) | (kb[1:] != kb[:-1])
+                                   | (key_cell[1:] != key_cell[:-1])))
+            del key_cell
+        del kt, kb
+        # Each key keeps its first candidate with the highest QoE, and the
+        # winners are listed by the first candidate of their key.
+        first = np.flatnonzero(head)
+        q_sorted = new_q[order]
+        top = q_sorted == np.maximum.reduceat(q_sorted, first)[np.cumsum(head) - 1]
+        rows = np.where(top, np.arange(len(order)), len(order))
+        keep = order[np.minimum.reduceat(rows, first)][np.argsort(order[first])]
         return (
             new_q[keep], new_t[keep], new_buf[keep], new_rung[keep],
             sat_ids[cell[keep] // n_rungs], parent[keep],

@@ -1033,6 +1033,50 @@ def test_offline_dp_fine_grid_keys_match_scalar_reference(sim_cfg, dt):
         assert offline_optimal_plan(trace, video, cfg) == _scalar_offline_plan(trace, video, cfg)
 
 
+@pytest.mark.parametrize("trace", [
+    make_flat_trace([3.0, 3.0], duration_s=60.0),
+    gen_trace_set(TraceGenConfig(alpha=1.0, b_max_mbps=8.0, duration_s=60.0, n_satellites=2,
+                                 min_elevation_deg=45.0, altitude_km=250.0, seed=3)),
+], ids=["flat", "generated"])
+def test_offline_dp_keys_crossing_2_53_match_scalar_reference(trace, sim_cfg, monkeypatch):
+    # At dt 1e-7 the (time, buffer, track, rung) cells of a stage number
+    # fewer than 2**53 for the first chunks and more from the third on, so
+    # one solve merges by the composite key first and by lexsort after.
+    lexsorts = []
+
+    def lexsort(keys):
+        lexsorts.append(len(keys))
+        return lexsort.numpy(keys)
+
+    lexsort.numpy = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lexsort)
+    video, cfg = VideoSpec(n_chunks=6), dataclasses.replace(sim_cfg, dt_s=1e-7)
+    decisions, value = offline_optimal_plan(trace, video, cfg)
+    # One lexsort picks the final state; the others are stage merges.
+    assert 1 < len(lexsorts) < video.n_chunks + 1
+    ref_decisions, ref_value = _scalar_offline_plan(trace, video, cfg)
+    assert decisions == ref_decisions
+    assert value.hex() == ref_value.hex()
+
+
+def test_offline_dp_falls_below_an_online_controller():
+    # A pinned counterexample to "offline >= online": the grid merge keeps
+    # only the best-QoE state of each cell and drops the one that later
+    # wins. ROADMAP item 5 makes the offline DP an upper bound; it then
+    # updates this test.
+    trace = inject_obstructions(gen_trace_set(TraceGenConfig(
+        n_satellites=3, duration_s=200, b_max_mbps=6, seed=1046, min_elevation_deg=45,
+        altitude_km=250,
+    )), [(0, 10.0, 25.0)])
+    video, cfg = VideoSpec(n_chunks=12), SimConfig()
+    online = run_session(trace, build_controller("joint:dual", video, cfg, "oracle", 5), video, cfg)
+    assert online.breakdown.qoe_total.hex() == "0x1.75252c9461af2p+3"  # 11.660787858779688
+    decisions, value = offline_optimal_plan(trace, video, cfg)
+    assert value.hex() == "0x1.58585fc794e26p+3"  # 10.76078785877969
+    assert offline_optimal(trace, video, cfg).qoe_total.hex() == value.hex()
+    assert (decisions, value) == _scalar_offline_plan(trace, video, cfg)
+
+
 @st.composite
 def _option_sets(draw):
     """A stay instance and its handoff targets. A link is flat, at one of
