@@ -42,6 +42,12 @@ from .simcore import (
 from .traces import TraceSet, remaining_visible_time, slant_range
 
 NEG_INF = float("-inf")
+# The most (state, visible satellite, rung) candidates one offline-DP stage
+# may score. A stage's working arrays take ~165 bytes per candidate, so
+# this is ~170 MB. On a fine dt_s grid few candidates share a cell, and a
+# stage can grow by (satellites x rungs) per chunk. The README exp.json's
+# largest stage holds ~10k candidates at the default dt_s.
+MAX_OFFLINE_STAGE_CANDIDATES = 1 << 20
 
 
 class PlanningError(RuntimeError):
@@ -177,7 +183,7 @@ def _scores(inst: PlanInstance) -> tuple:
 
 
 def _child_expander(inst: PlanInstance):
-    """Child expansion shared by the exhaustive search and the DP.
+    """Child expansion for the exhaustive search (_plan_exhaustive).
 
     Returns expand(n, t, buf, prev, total): every bounded child of a
     node at horizon chunk n (1-based) as (rung, new_t, new_buf, q) in
@@ -187,6 +193,12 @@ def _child_expander(inst: PlanInstance):
     chunk adds the delay to the start and to the result, as _chunk_wait
     does), mu1*b and mu3*|b - p| come from chunk_scores, and q keeps
     chunk_qoe's association, total + ((mu1*b - mu2*rebuf) - mu3*|b - p|).
+
+    f_sat_dpmpc inlines these floats in its stage loop rather than call
+    expand per state. Each copy is pinned against a scalar reference:
+    this one by test_prefix_shared_search_matches_naive_enumeration, the
+    DP's by test_dp_matches_scalar_reference_and_reevaluates_exactly and
+    test_dp_merge_ignores_stage_order, both by golden/check.py.
     """
     sizes = inst.video.chunk_sizes_mb
     sim = inst.sim
@@ -334,10 +346,17 @@ def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
     order in which a stage lists its states, so a cell keeps the
     unbounded DP's winner whenever that winner is bounded at or above
     floor, whichever of the cell's other children were skipped.
+
+    Each stage is one loop: the stage's link and handoff delay are picked
+    once, each kept state makes one piecewise_downloads walk, and each
+    child is settled, scored, keyed and merged inline, with the floats of
+    _child_expander (see there for the tests that pin both copies).
     """
-    dt = inst.sim.dt_s
-    expand = _child_expander(inst)
-    ceiling = _scores(inst)[2]
+    sim, video = inst.sim, inst.video
+    dt, rtt_s, mu2, max_buffer_s = sim.dt_s, sim.rtt_s, sim.mu2, sim.max_buffer_s
+    sizes, chunk_s = video.chunk_sizes_mb, video.chunk_duration_s
+    gain, switch, ceiling = _scores(inst)
+    h, horizon = inst.handoff_chunk, inst.horizon
     init_key = (
         int(inst.start_t / dt),
         int(inst.buffer_s / dt),
@@ -350,17 +369,42 @@ def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
     visited = 0
     skipped = False
 
-    for n in range(1, inst.horizon + 1):
+    for n in range(1, horizon + 1):
+        # The stage's link and handoff delay, as _chunk_wait picks them;
+        # a delay of 0.0 leaves every start and wait as it is, bit for bit.
+        if h is None or n < h:
+            link, delay_s = inst.current_link, 0.0
+        else:
+            link, delay_s = inst.target_link, sim.handoff_delay_s if n == h else 0.0
         new_stage: dict = {}
-        ceiling_row = ceiling[inst.horizon - n + 1]
+        get = new_stage.get
+        ceiling_row = ceiling[horizon - n + 1]
         for key, (q, t, buf, _) in stage.items():
-            u = ceiling_row[key[2]]
+            prev = key[2]
+            u = ceiling_row[prev]
             if q + u + 1e-9 * (abs(q) + abs(u) + 1.0) < floor:
                 skipped = True
                 continue
-            for rate_idx, new_t, new_buf, new_q in expand(n, t, buf, key[2], q):
+            sw = switch[prev]
+            # _child_expander's floats, inlined: settle, score and key each
+            # bounded rung, then merge it.
+            for rate_idx, wait in enumerate(piecewise_downloads(link, t + delay_s, sizes, rtt_s)):
+                if wait is None:
+                    break  # sizes ascend, so every larger rung is unbounded too
+                wait = delay_s + wait
+                if wait > buf:
+                    rebuf = wait - buf
+                    new_buf = chunk_s
+                else:
+                    rebuf = 0.0
+                    new_buf = (buf - wait) + chunk_s
+                new_t = t + wait
+                if new_buf > max_buffer_s:
+                    new_t += new_buf - max_buffer_s
+                    new_buf = max_buffer_s
+                new_q = q + ((gain[rate_idx] - mu2 * rebuf) - sw[rate_idx])
                 new_key = (int(new_t / dt), int(new_buf / dt), rate_idx)
-                cur = new_stage.get(new_key)
+                cur = get(new_key)
                 if cur is None or new_q > cur[0] or (
                     new_q == cur[0] and (new_t, -new_buf, key) < (cur[1], -cur[2], cur[3])
                 ):
@@ -925,7 +969,15 @@ def offline_optimal_plan(
         # clamped_index of every state's time, then its visible tracks:
         # (state, track) rows in stage order, then track order.
         sample = np.minimum(np.maximum(t / trace.sample_dt, 0), last_sample).astype(np.int64)
-        states, tracks = np.nonzero(visibility[sample])
+        visible = visibility[sample]
+        n_candidates = np.count_nonzero(visible) * n_rungs
+        if n_candidates > MAX_OFFLINE_STAGE_CANDIDATES:
+            raise PlanningError(
+                f"offline search at chunk {k} would score {n_candidates} candidates, more "
+                f"than {MAX_OFFLINE_STAGE_CANDIDATES}: sim.dt_s={dt!r} is too fine a grid "
+                "to merge states; use a coarser dt_s"
+            )
+        states, tracks = np.nonzero(visible)
         handoff = sat[states] != sat_ids[tracks]
         starts = np.where(handoff, t[states] + delay, t[states])
         waits = piecewise_downloads_many(series, starts, sizes, cfg.rtt_s, tracks)

@@ -300,10 +300,30 @@ def _scalar_dp(inst, reverse=False):
     return best_q, max(plans), visited
 
 
-@settings(max_examples=200)
-@given(_plan_instances(), st.sampled_from((0.25, 1.0)))
-def test_dp_matches_scalar_reference_and_reevaluates_exactly(inst, dt):
-    inst = dataclasses.replace(inst, sim=dataclasses.replace(inst.sim, dt_s=dt))
+@settings(max_examples=300, deadline=None)
+@given(
+    _plan_instances() | _tied_instances(), _weights(), st.sampled_from((0.25, 0.5, 1.0, 2.0)),
+    st.sampled_from((0.0, 0.2)), st.integers(0, 4), st.floats(0.0, 20.0),
+)
+# Two children meet in a cell with equal QoE and clock and different
+# buffers: only the fuller-buffer rule picks the reference's winner.
+@example(PlanInstance(
+    horizon=3, buffer_s=8.0, last_bitrate_idx=1, start_t=1.0, handoff_chunk=None,
+    current_link=RateSeries(0.0, 1.0, [0.5, 7.0, 8.0, 5.5, 3.5, 3.5]),
+    target_link=RateSeries(0.0, 1.0, [1.0, 2.5, 3.0, 4.5, 1.5, 6.0, 4.5, 0.5]),
+    video=VideoSpec(bitrate_ladder_mbps=(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)),
+    sim=SimConfig(max_buffer_s=8.0),
+), dict(mu1=0.0, mu2=0.5, mu3=0.0), 1.0, 0.0, 2, 0.0)
+def test_dp_matches_scalar_reference_and_reevaluates_exactly(inst, weights, dt, delay, h, gap):
+    # The DP's stage loop settles, scores and merges each child inline, with
+    # the handoff delay picked per stage; the scalar reference computes each
+    # child as evaluate_plan does. Tied instances make merges meet exact QoE
+    # ties; they hand off at point h, or nowhere when h is 0 or past the
+    # horizon. A zero delay must leave the handoff chunk's floats as they are.
+    sim = dataclasses.replace(inst.sim, dt_s=dt, handoff_delay_s=delay, **weights)
+    inst = dataclasses.replace(inst, sim=sim)
+    if inst.handoff_chunk is None and inst.target_link is not None:
+        inst = dataclasses.replace(inst, handoff_chunk=h if 0 < h <= inst.horizon else None)
     try:
         q, plan, visited = _scalar_dp(inst)
         expected = (q.hex(), plan, visited)
@@ -317,6 +337,10 @@ def test_dp_matches_scalar_reference_and_reevaluates_exactly(inst, dt):
     assert got == expected
     if got is None:
         return
+    # A floor at or below the optimum skips states but keeps its plan.
+    floored = f_sat_dpmpc(inst, q - gap)
+    assert (floored.best_qoe.hex(), floored.full_bitrate_plan) == (q.hex(), plan)
+    assert floored.states_visited <= visited
     assert res.first_bitrate_idx == res.full_bitrate_plan[0]
     # The DP value is the exact value of a real plan, never above the optimum.
     assert evaluate_plan(inst, res.full_bitrate_plan) == res.best_qoe
@@ -1057,6 +1081,24 @@ def test_offline_dp_keys_crossing_2_53_match_scalar_reference(trace, sim_cfg, mo
     ref_decisions, ref_value = _scalar_offline_plan(trace, video, cfg)
     assert decisions == ref_decisions
     assert value.hex() == ref_value.hex()
+
+
+def test_offline_dp_refuses_a_stage_past_its_candidate_cap(monkeypatch):
+    # At dt_s 1e-6 almost no two candidates share a cell, so each stage
+    # grows by up to (satellites x rungs): 20 chunks would pass 5 GB. The
+    # solve stops at chunk 9, the first stage past the cap (1 567 386
+    # candidates), and names dt_s.
+    trace = make_flat_trace([1.0, 2.0], duration_s=60.0)
+    cfg = SimConfig(dt_s=1e-6)
+    with pytest.raises(PlanningError, match=r"chunk 9 .*sim\.dt_s=1e-06"):
+        offline_optimal_plan(trace, VideoSpec(n_chunks=20), cfg)
+    # The cap is inclusive: stages of 6, 36 and 216 candidates.
+    video = VideoSpec(n_chunks=3)
+    monkeypatch.setattr(planners, "MAX_OFFLINE_STAGE_CANDIDATES", 216)
+    assert offline_optimal_plan(trace, video, cfg) == _scalar_offline_plan(trace, video, cfg)
+    monkeypatch.setattr(planners, "MAX_OFFLINE_STAGE_CANDIDATES", 215)
+    with pytest.raises(PlanningError, match="chunk 2 would score 216 candidates"):
+        offline_optimal_plan(trace, video, cfg)
 
 
 def test_offline_dp_falls_below_an_online_controller():
