@@ -111,6 +111,12 @@ def main(argv=None) -> int:
             print(f"wrote {files['csv']} ({len(output.rows)} rows)")
             for key, err in sorted(output.failures.items()):
                 print(f"cell failed: {key}: {err}", file=sys.stderr)
+            for key, overrun in sorted(output.overruns.items()):
+                print(
+                    f"warning: cell {key}: the session outlasts its trace by {overrun:.3f} s; "
+                    "the trace's last sample stands for the time past its end",
+                    file=sys.stderr,
+                )
             return output.exit_code
 
         if args.command == "compare":

@@ -282,6 +282,18 @@ def _breakdown_means(breakdowns: list[QoEBreakdown]) -> tuple[float, ...]:
     return qoe, quality, rebuf, smooth, handoffs
 
 
+def overrun_s(breakdowns: list[QoEBreakdown], trace: TraceSet, sim: SimConfig) -> float:
+    """How far the latest session clock ends past the trace's end, 0.0
+    when every session ends within it. Past its end a trace keeps its
+    last sample (TraceSet.clamped_index)."""
+    end = max(
+        sum(oc.download_time_s + oc.drain_s for oc in b.per_chunk)
+        + sim.handoff_delay_s * b.handoff_count
+        for b in breakdowns
+    )
+    return max(0.0, end - trace.duration_s)
+
+
 def run_cell(
     exp: ExperimentConfig,
     trace: TraceSet,
@@ -289,9 +301,10 @@ def run_cell(
     seed: int,
     controller_name: str,
     n_users: int,
-) -> tuple[ResultRow, list[tuple]]:
-    """Execute one experiment cell; returns its row and any per-candidate
-    (chunk, satellite, handoff point, qoe) debug rows."""
+) -> tuple[ResultRow, list[tuple], float]:
+    """Execute one experiment cell; returns its row, any per-candidate
+    (chunk, satellite, handoff point, qoe) debug rows, and its sessions'
+    overrun_s."""
     video, sim = exp.video, exp.sim
 
     if controller_name == "offline-optimal":
@@ -305,7 +318,7 @@ def run_cell(
         return ResultRow(
             controller_name, exp.predictor, n_users, trace_id, seed,
             *_breakdown_means([breakdown]), mean_ms,
-        ), []
+        ), [], overrun_s([breakdown], trace, sim)
 
     if controller_name == "centralized":
         if n_users > CENTRALIZED_USER_CAP:
@@ -339,7 +352,7 @@ def run_cell(
     return ResultRow(
         controller_name, exp.predictor, n_users, trace_id, seed,
         *_breakdown_means(result.per_user), mean_ms,
-    ), candidate_rows
+    ), candidate_rows, overrun_s(result.per_user, trace, sim)
 
 
 def _run_cell_task(args):
@@ -347,17 +360,22 @@ def _run_cell_task(args):
     key = (controller_name, exp.predictor, n_users, trace_id, seed)
     try:
         trace = make_trace()
-        row, candidates = run_cell(exp, trace, trace_id, seed, controller_name, n_users)
-        return key, row, candidates, None
+        row, candidates, overrun = run_cell(exp, trace, trace_id, seed, controller_name, n_users)
+        return key, row, candidates, overrun, None
     except Exception as exc:
-        return key, None, [], f"{type(exc).__name__}: {exc}"
+        return key, None, [], 0.0, f"{type(exc).__name__}: {exc}"
 
 
 @dataclass
 class RunOutput:
+    """The rows and failures that write_results writes, and, outside the
+    result files, each cell whose sessions outlast its trace, by how many
+    seconds (overrun_s)."""
+
     rows: list[ResultRow]
     failures: dict[tuple, str]
     candidate_rows: list[tuple] = field(default_factory=list)
+    overruns: dict[tuple, float] = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
@@ -383,16 +401,18 @@ def run_experiment(exp: ExperimentConfig) -> RunOutput:
     else:
         results = [_run_cell_task(task) for task in tasks]
 
-    rows = [row for _, row, _, err in results if err is None]
-    failures = {key: err for key, _, _, err in results if err is not None}
+    rows = [row for _, row, _, _, err in results if err is None]
+    failures = {key: err for key, _, _, _, err in results if err is not None}
     rows.sort(key=lambda r: r.key())
     candidate_rows = [
         key + cand
-        for key, _, cands, err in sorted(results, key=lambda item: item[0])
+        for key, _, cands, _, err in sorted(results, key=lambda item: item[0])
         if err is None
         for cand in cands
     ]
-    return RunOutput(rows=rows, failures=failures, candidate_rows=candidate_rows)
+    overruns = {key: overrun for key, _, _, overrun, _ in results if overrun > 0.0}
+    return RunOutput(rows=rows, failures=failures, candidate_rows=candidate_rows,
+                     overruns=overruns)
 
 
 def _write_csv(path: Path, header, rows) -> None:

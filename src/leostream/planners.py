@@ -43,10 +43,13 @@ from .traces import TraceSet, remaining_visible_time, slant_range
 
 NEG_INF = float("-inf")
 # The most (state, visible satellite, rung) candidates one offline-DP stage
-# may score. A stage's working arrays take ~165 bytes per candidate, so
-# this is ~170 MB. On a fine dt_s grid few candidates share a cell, and a
-# stage can grow by (satellites x rungs) per chunk. The README exp.json's
-# largest stage holds ~10k candidates at the default dt_s.
+# may score, in the bounded pass and in the unbounded one alike. A stage's
+# working arrays take ~165 bytes per candidate, so this is ~170 MB. On a
+# fine dt_s grid few candidates share a cell, and a stage can grow by
+# (satellites x rungs) per chunk; the bound cuts a stage only as far as
+# its greedy floor is tight, so the cap guards the unbounded pass, which
+# the bounded one falls back to. The README exp.json's largest stage holds
+# ~11k candidates unbounded and ~130 bounded at the default dt_s.
 MAX_OFFLINE_STAGE_CANDIDATES = 1 << 20
 
 
@@ -921,6 +924,45 @@ class SeparateController(_PredictingController):
         return stats.chosen.decision(cur)
 
 
+def _offline_incumbent(trace: TraceSet, video: VideoSpec, cfg: SimConfig) -> float:
+    """offline_optimal_plan's floor: the QoE of a greedy plan, lowered by
+    the bound's slack, or -inf when the greedy plan dead-ends.
+
+    The rollout takes, chunk by chunk, the child with the highest QoE so
+    far plus U[K - k - 1][rung] of chunk_scores (K chunks, this one k)
+    over every visible satellite and rung, the first in ascending
+    satellite and rung order on a tie. Each satellite's children come
+    from _child_expander on a one-chunk instance that hands off at its
+    first chunk when the satellite is not the current one, which is the
+    offline DP's stage arithmetic up to rounding. That instance charges
+    the switch from the start rung at chunk 0, which the offline DP does
+    not, so the value is at most that of the plan it follows.
+    """
+    n_chunks = video.n_chunks
+    ceiling = chunk_scores(video.bitrate_ladder_mbps, cfg.mu1, cfg.mu3, n_chunks)[2]
+    series = {sat: RateSeries.for_satellite(trace, sat) for sat in trace.sat_ids}
+    start = simcore.initial_state(trace, video, cfg)
+    t, buf, q = start.wallclock_s, start.buffer_s, 0.0
+    rung, sat = start.last_bitrate_idx, start.current_satellite
+    for k in range(n_chunks):
+        row = ceiling[n_chunks - k - 1]
+        best = None
+        for target in trace.visible_at(t):
+            inst = PlanInstance(
+                horizon=1, buffer_s=buf, last_bitrate_idx=rung, start_t=t,
+                handoff_chunk=None if target == sat else 1, current_link=series[sat],
+                target_link=series[target], video=video, sim=cfg,
+            )
+            for child in _child_expander(inst)(1, t, buf, rung, q):
+                score = child[3] + row[child[0]]
+                if best is None or score > best[0]:
+                    best = (score, target, child)
+        if best is None:
+            return NEG_INF
+        _, sat, (rung, t, buf, q) = best
+    return q - 1e-9 * (abs(q) + 1.0)
+
+
 def offline_optimal_plan(
     trace: TraceSet, video: VideoSpec, cfg: SimConfig
 ) -> tuple[list[Decision], float]:
@@ -934,25 +976,42 @@ def offline_optimal_plan(
 
     Each chunk is one numpy stage over the (state, visible track) rows:
     the waits of every row and rung come from one piecewise_downloads_many
-    walk over all satellites' links, and the candidates, laid out in
-    stage order, then track order, then ascending rung, are settled and
-    scored elementwise with the scalar DP's floats. The merge keeps the
-    tie rules of a dict filled in that order: a key keeps its first
-    candidate with the highest QoE (a later one replaces it only on a
-    strictly greater value), and the new stage lists keys by their first
-    candidate. It groups the candidates by one stable argsort of a
-    composite (time cell, buffer cell, track x rung) number whenever the
-    stage's keys span fewer than 2**53 of them, so that the number is
-    exact in floats; on finer grids it falls back to a lexsort of the
-    three parts. The final state is the max over (QoE,) + key. This
-    first-candidate rule is not f_sat_dpmpc's tie rule, which does not
-    depend on stage order.
+    walk over all satellites' links, and the candidates are settled and
+    scored elementwise with the scalar DP's floats. The merge groups the
+    candidates by one argsort of a composite (time cell, buffer cell,
+    track x rung) number whenever the stage's keys span fewer than 2**53
+    of them, so that the number is exact in floats; on finer grids it
+    falls back to a lexsort of the three parts. Each key keeps the
+    candidate with the highest QoE and, on an exact tie, the one with the
+    earlier clock, then the fuller buffer, then the lower parent key,
+    f_sat_dpmpc's rule; only the tied rows are sorted by it. That order is
+    total and does not depend on the order in which a stage lists its
+    states or tracks. The final state is the max over (QoE,) + key.
+
+    The solve is bounded by a floor, _offline_incumbent's greedy plan
+    value. From chunk 1 on, a state at chunk k with QoE q and rung p is
+    expanded only when q + U + 1e-9*(|q| + |U| + 1) >= floor, where U =
+    U[K - k][p] of chunk_scores for the K - k chunks left; chunk 0 pays
+    no switch, which U counts, so the one start state is always expanded.
+    U bounds every continuation (mu2 >= 0) and the slack covers the
+    rounding of the sums, so every state on the path of a plan scoring
+    >= floor is expanded, with the values the unbounded DP gives it.
+    Where a skipped state's child would have won a cell, the cell keeps
+    a child that scores no more and so, like it, ends below floor on
+    every continuation; such a child never outranks a state on the path
+    of a plan scoring >= floor. With the merge's order-free rule, each
+    cell on such a path keeps the unbounded DP's winner, so when the
+    unbounded optimum reaches floor the bounded solve returns it,
+    decisions and objective bit for bit, and when it does not, the
+    bounded solve ends below floor. A grid merge can drop
+    the greedy plan, so the optimum can fall below it; then, or when a
+    bounded stage empties, the DP is solved again without the floor.
     """
     dt = cfg.dt_s
     sizes = video.chunk_sizes_mb
-    n_rungs = len(sizes)
-    gain, switch, _ = chunk_scores(video.bitrate_ladder_mbps, cfg.mu1, cfg.mu3, 0)
-    gain, switch = np.asarray(gain), np.asarray(switch)  # switch[prev, rung]
+    n_rungs, n_chunks = len(sizes), video.n_chunks
+    scores = chunk_scores(video.bitrate_ladder_mbps, cfg.mu1, cfg.mu3, n_chunks)
+    gain, switch, ceiling = map(np.asarray, scores)  # switch[prev, rung], ceiling[k, rung]
     delay, chunk_s, max_buf = cfg.handoff_delay_s, video.chunk_duration_s, cfg.max_buffer_s
     sat_ids = np.array(trace.sat_ids)
     series = [RateSeries.for_satellite(trace, sat) for sat in trace.sat_ids]
@@ -962,12 +1021,12 @@ def offline_optimal_plan(
     start = simcore.initial_state(trace, video, cfg)
 
     def expand(k, q, t, buf, rung, sat):
-        """Stage k: every bounded (state, track, rung) candidate, merged by
-        key. Returns the new stage's QoE, time, buffer, rung and satellite
-        id, and each new state's parent index. Works in place where it
-        can: the candidate arrays dominate the DP's memory."""
-        # clamped_index of every state's time, then its visible tracks:
-        # (state, track) rows in stage order, then track order.
+        """Stage k: every (state, track, rung) candidate whose download is
+        bounded, merged by key. Returns the new stage's QoE, time, buffer,
+        rung and satellite id, and each new state's parent index, or None
+        when no download is bounded. Works in place where it can: the
+        candidate arrays dominate the DP's memory."""
+        # clamped_index of every state's time, then its visible tracks.
         sample = np.minimum(np.maximum(t / trace.sample_dt, 0), last_sample).astype(np.int64)
         visible = visibility[sample]
         n_candidates = np.count_nonzero(visible) * n_rungs
@@ -985,7 +1044,7 @@ def offline_optimal_plan(
         waits = waits.ravel()
         pos = np.flatnonzero(~np.isnan(waits))  # NaN: unbounded
         if not pos.size:
-            raise PlanningError(f"offline search dead-ended at chunk {k}")
+            return None
         wait = waits[pos]
         row, new_rung = np.divmod(pos, n_rungs)
         del waits, pos
@@ -1014,8 +1073,7 @@ def offline_optimal_plan(
 
         # The scalar key (int(t/dt), int(buf/dt), rung, satellite), with the
         # cell standing for (rung, satellite). Integer-valued floats compare
-        # exactly as those ints do, whatever their size. Both sorts are
-        # stable, so each key's rows run in candidate order.
+        # exactly as those ints do, whatever their size.
         kt, kb = np.trunc(new_t / dt), np.trunc(new_buf / dt)
         t_lo, b_lo = kt.min(), kb.min()
         n_kb = int(kb.max()) - int(b_lo) + 1
@@ -1026,7 +1084,7 @@ def offline_optimal_plan(
             key += kb - b_lo
             key *= n_cells
             key += cell
-            order = np.argsort(key, kind="stable")
+            order = np.argsort(key)
             key = key[order]
             head = np.concatenate(([True], key[1:] != key[:-1]))  # a key's first row
             del key
@@ -1037,26 +1095,60 @@ def offline_optimal_plan(
                                    | (key_cell[1:] != key_cell[:-1])))
             del key_cell
         del kt, kb
-        # Each key keeps its first candidate with the highest QoE, and the
-        # winners are listed by the first candidate of their key.
+        # Each key keeps its rows with the highest QoE; a key with more
+        # than one keeps the first by (clock, -buffer, parent key).
         first = np.flatnonzero(head)
+        group = np.cumsum(head) - 1
         q_sorted = new_q[order]
-        top = q_sorted == np.maximum.reduceat(q_sorted, first)[np.cumsum(head) - 1]
-        rows = np.where(top, np.arange(len(order)), len(order))
-        keep = order[np.minimum.reduceat(rows, first)][np.argsort(order[first])]
+        top = np.flatnonzero(q_sorted == np.maximum.reduceat(q_sorted, first)[group])
+        keep = order[top]
+        if len(top) > len(first):
+            tied = np.bincount(group[top], minlength=len(first))[group[top]] > 1
+            keep, top = keep[~tied], top[tied]
+            rows, up = order[top], parent[order[top]]
+            by_rule = np.lexsort((
+                sat[up], rung[up], np.trunc(buf[up] / dt), np.trunc(t[up] / dt),
+                -new_buf[rows], new_t[rows], group[top],
+            ))
+            won = np.concatenate(([True], np.diff(group[top][by_rule]) != 0))
+            keep = np.concatenate((keep, rows[by_rule[won]]))
         return (
             new_q[keep], new_t[keep], new_buf[keep], new_rung[keep],
             sat_ids[cell[keep] // n_rungs], parent[keep],
         )
 
-    q, t, buf = np.zeros(1), np.zeros(1), np.zeros(1)
-    rung = np.array([start.last_bitrate_idx])
-    sat = np.array([start.current_satellite])
-    back: list[tuple] = []  # per stage: rung, satellite and parent of each state
-    for k in range(video.n_chunks):
-        q, t, buf, rung, sat, parent = expand(k, q, t, buf, rung, sat)
-        back.append((rung, sat, parent))
+    def solve(floor):
+        """The per-stage rung, satellite and parent arrays and the final
+        stage's QoE, time, buffer, rung and satellite; None when a stage
+        above a finite floor runs dry."""
+        q, t, buf = np.zeros(1), np.zeros(1), np.zeros(1)
+        rung = np.array([start.last_bitrate_idx])
+        sat = np.array([start.current_satellite])
+        back: list[tuple] = []  # per stage: rung, satellite and parent of each state
+        for k in range(n_chunks):
+            if k and floor > NEG_INF:
+                u = ceiling[n_chunks - k][rung]
+                live = q + u + 1e-9 * (np.abs(q) + np.abs(u) + 1.0) >= floor
+                if not live.all():
+                    live = np.flatnonzero(live)
+                    q, t, buf, rung, sat = q[live], t[live], buf[live], rung[live], sat[live]
+                    back[-1] = (rung, sat, back[-1][2][live])
+                    if not live.size:
+                        return None
+            stage = expand(k, q, t, buf, rung, sat)
+            if stage is None:
+                if floor > NEG_INF:
+                    return None
+                raise PlanningError(f"offline search dead-ended at chunk {k}")
+            q, t, buf, rung, sat, parent = stage
+            back.append((rung, sat, parent))
+        return back, q, t, buf, rung, sat
 
+    floor = _offline_incumbent(trace, video, cfg)
+    solved = solve(floor)
+    if solved is None or solved[1].max() < floor:
+        solved = solve(NEG_INF)
+    back, q, t, buf, rung, sat = solved
     best = int(np.lexsort((sat, rung, np.trunc(buf / dt), np.trunc(t / dt), q))[-1])
     best_q = float(q[best])
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +19,9 @@ from leostream.harness import (
     run_experiment,
     write_results,
 )
+from leostream.traces import write_trace
+
+from conftest import make_flat_trace
 
 
 def _config_dict(**overrides):
@@ -102,6 +106,39 @@ def test_run_cli_end_to_end_and_determinism(tmp_path):
     assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
     assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
     assert (out1 / "timing.csv").exists()
+
+
+def test_run_cli_warns_once_per_cell_that_outlasts_its_trace(tmp_path, capsys):
+    # 80 two-second chunks cannot end within a 60-s trace, whose last
+    # sample then stands for the time past its end. Each cell warns once
+    # on stderr with its overrun; the result files carry no trace of it.
+    (tmp_path / "traces").mkdir()
+    write_trace(make_flat_trace([3.0], duration_s=60.0), tmp_path / "traces" / "flat.csv")
+    controllers = ["joint:dual", "offline-optimal"]
+    runs = {}
+    for n_chunks in (80, 10):
+        cfg_path = tmp_path / f"exp{n_chunks}.json"
+        cfg_path.write_text(json.dumps(_config_dict(
+            trace={"load": str(tmp_path / "traces")}, video={"n_chunks": n_chunks},
+            controllers=controllers, repetitions=1,
+        )))
+        out = tmp_path / f"out{n_chunks}"
+        assert main(["run", "--config", str(cfg_path), "--out", str(out)]) == 0
+        runs[n_chunks] = out, capsys.readouterr().err.splitlines()
+    out, warnings = runs[80]
+    assert len(warnings) == len(controllers)
+    for line, controller in zip(warnings, controllers):
+        cell = (controller, "robust", 1, "flat", 5)
+        match = re.fullmatch(
+            rf"warning: cell {re.escape(str(cell))}: the session outlasts its trace by "
+            r"(\d+\.\d{3}) s; the trace's last sample stands for the time past its end",
+            line,
+        )
+        # The buffer holds at most 60 s, so 160 s of video ends past 100 s.
+        assert match and float(match.group(1)) >= 40.0, line
+    assert json.loads((out / "results.json").read_text())["failures"] == {}
+    assert [row.controller for row in read_result_rows(out / "results.csv")] == controllers
+    assert runs[10][1] == []
 
 
 def test_cli_config_error_exit_code(tmp_path):

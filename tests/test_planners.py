@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leostream import planners
+from leostream import planners, simcore
 from leostream.harness import build_controller
 from leostream.planners import (
     BelowFloorError,
@@ -927,31 +927,35 @@ def test_offline_finer_grid_never_loses(sim_cfg):
         assert fine.qoe_total >= coarse.qoe_total - 1e-9
 
 
-def _scalar_offline_plan(trace, video, cfg):
-    """Reference offline DP: one dict per stage, filled in stage order, then
-    track order, then ascending rung; a later candidate replaces a key only
-    on a strictly greater QoE, and each key keeps its first insertion slot."""
+def _scalar_offline_plan(trace, video, cfg, reverse=False):
+    """Reference offline DP: one dict per stage. A tie in QoE keeps the
+    earlier clock, then the fuller buffer, then the lower parent key.
+    reverse visits each stage's states, the tracks and the ladder in
+    reverse order, which that rule makes irrelevant."""
     dt = cfg.dt_s
     ladder = video.bitrate_ladder_mbps
+    order = reversed if reverse else iter
     series = {sat: RateSeries.for_satellite(trace, sat) for sat in trace.sat_ids}
     start = initial_state(trace, video, cfg)
     stage = {(0, 0, start.last_bitrate_idx, start.current_satellite): (0.0, 0.0, 0.0)}
     parents = []
     for k in range(video.n_chunks):
         new_stage, par = {}, {}
-        for key, (q, t, buf) in stage.items():
+        for key, (q, t, buf) in order(list(stage.items())):
             idx = trace.clamped_index(t)
-            for tr in trace.tracks:
+            for tr in order(trace.tracks):
                 if not tr.visible[idx]:
                     continue
                 sat = tr.sat_id
                 handoff = sat != key[3]
                 start_t = t + cfg.handoff_delay_s if handoff else t
-                for rate_idx, size in enumerate(video.chunk_sizes_mb):
+                for rate_idx in order(range(len(ladder))):
                     try:
-                        dl = piecewise_download(series[sat], start_t, size, cfg.rtt_s)
+                        dl = piecewise_download(
+                            series[sat], start_t, video.chunk_mb(rate_idx), cfg.rtt_s
+                        )
                     except UnboundedDownloadError:
-                        break
+                        continue
                     wait = cfg.handoff_delay_s + dl if handoff else dl
                     rebuf, new_buf, drain = settle_chunk(
                         buf, wait, video.chunk_duration_s, cfg.max_buffer_s
@@ -962,7 +966,11 @@ def _scalar_offline_plan(trace, video, cfg):
                     if drain > 0.0:
                         new_t += drain
                     new_key = (int(new_t / dt), int(new_buf / dt), rate_idx, sat)
-                    if new_key not in new_stage or new_q > new_stage[new_key][0]:
+                    cur = new_stage.get(new_key)
+                    if cur is None or new_q > cur[0] or (
+                        new_q == cur[0]
+                        and (new_t, -new_buf, key) < (cur[1], -cur[2], par[new_key])
+                    ):
                         new_stage[new_key] = (new_q, new_t, new_buf)
                         par[new_key] = key
         if not new_stage:
@@ -983,12 +991,13 @@ def _scalar_offline_plan(trace, video, cfg):
 
 
 @st.composite
-def _offline_cases(draw):
-    """Generated 2-3 satellite traces, both ladders, dt 1.0 and 0.25,
-    sessions that outlast their trace and obstruction windows; flat
-    equal-rate traces make QoE ties between keys common."""
+def _offline_cases(draw, dts=(1.0, 0.25), caps=(60.0, 6.0, math.inf)):
+    """Generated 2-3 satellite traces, both ladders, a grid step from dts
+    and a buffer cap from caps, sessions that outlast their trace and
+    obstruction windows; flat equal-rate traces make QoE ties between
+    keys common."""
     ladder = draw(st.sampled_from(LADDERS))
-    dt = draw(st.sampled_from((1.0, 0.25)))
+    dt = draw(st.sampled_from(dts))
     n_sats = draw(st.integers(2, 3))
     small = len(ladder) == 6 and dt == 0.25
     n_chunks = draw(st.integers(2, 5 if small else 12))
@@ -1007,7 +1016,7 @@ def _offline_cases(draw):
         begin = draw(st.integers(0, int(duration) - 2))
         end = min(duration, begin + draw(st.integers(2, 12)))
         trace = inject_obstructions(trace, [(draw(st.integers(0, n_sats - 1)), float(begin), end)])
-    cfg = SimConfig(max_buffer_s=draw(st.sampled_from((60.0, 6.0, math.inf))), dt_s=dt)
+    cfg = SimConfig(max_buffer_s=draw(st.sampled_from(caps)), dt_s=dt)
     return trace, video, cfg
 
 
@@ -1040,6 +1049,71 @@ def test_offline_dp_matches_scalar_reference(case):
     assert offline_optimal(trace, video, cfg) == _step_replay(trace, video, cfg, decisions)
 
 
+def _counted_offline_plan(trace, video, cfg, incumbent):
+    """offline_optimal_plan with _offline_incumbent returning incumbent,
+    and the number of stage walks it made: video.n_chunks for one pass."""
+    walks = []
+
+    def walk(*args):
+        walks.append(1)
+        return simcore.piecewise_downloads_many(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(planners, "_offline_incumbent", lambda *args: incumbent)
+        patch.setattr(planners, "piecewise_downloads_many", walk)
+        decisions, value = offline_optimal_plan(trace, video, cfg)
+    return (decisions, value.hex()), len(walks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_offline_cases(dts=(0.25, 0.5, 1.0, 2.0), caps=(8.0, 60.0)))
+@example((make_flat_trace([20.0, 20.0, 20.0], duration_s=30.0), VideoSpec(n_chunks=8),
+          SimConfig(max_buffer_s=8.0)))
+def test_bounded_offline_dp_equals_unbounded(case):
+    # The greedy incumbent bounds the solve; the result is the unbounded
+    # DP's, decisions and objective bit for bit, and does not depend on
+    # the order of the stage's states or of the trace's tracks.
+    trace, video, cfg = case
+    bounded = offline_optimal_plan(trace, video, cfg)
+    unbounded, walks = _counted_offline_plan(trace, video, cfg, -math.inf)
+    assert (bounded[0], bounded[1].hex()) == unbounded
+    assert walks == video.n_chunks
+    decisions, value = _scalar_offline_plan(trace, video, cfg, reverse=True)
+    assert (decisions, value.hex()) == unbounded
+    flipped = TraceSet(trace.sample_dt, trace.tracks[::-1], trace.meta)
+    decisions, value = offline_optimal_plan(flipped, video, cfg)
+    assert (decisions, value.hex()) == unbounded
+    # A floor at the optimum keeps its path: one pass, the same plan.
+    optimum = float.fromhex(unbounded[1])
+    assert _counted_offline_plan(trace, video, cfg, optimum) == (unbounded, video.n_chunks)
+    # A floor above the optimum runs dry or ends below it, and the solve
+    # falls back to the unbounded pass.
+    for floor in (optimum + 1.0, math.inf):
+        result, walks = _counted_offline_plan(trace, video, cfg, floor)
+        assert result == unbounded
+        assert walks > video.n_chunks
+
+
+def test_offline_incumbent_is_a_real_plan_value(sim_cfg):
+    # On a rich flat link the greedy plan is the optimum, all top rung: it
+    # charges the switch from the start rung at chunk 0, which the offline
+    # DP does not, and sits the slack below.
+    video = VideoSpec(n_chunks=12)
+    trace = make_flat_trace([50.0, 50.0], duration_s=120.0)
+    _, value = offline_optimal_plan(trace, video, sim_cfg)
+    ladder = video.bitrate_ladder_mbps
+    greedy = value - sim_cfg.mu3 * (ladder[-1] - ladder[0])
+    assert planners._offline_incumbent(trace, video, sim_cfg) == pytest.approx(greedy, abs=1e-6)
+    assert planners._offline_incumbent(trace, video, sim_cfg) < greedy
+    # The link ends after its first second: the rollout dead-ends, and so
+    # does the DP.
+    dark = make_flat_trace([1.0], duration_s=4.0, visible=[[True, False, False, False]])
+    video = VideoSpec(n_chunks=4)
+    assert planners._offline_incumbent(dark, video, sim_cfg) == -math.inf
+    with pytest.raises(PlanningError, match="dead-ended"):
+        offline_optimal_plan(dark, video, sim_cfg)
+
+
 @pytest.mark.parametrize("dt", [1e-12, 1e-20])
 def test_offline_dp_fine_grid_keys_match_scalar_reference(sim_cfg, dt):
     # At these grids t/dt passes 2**40 and 2**63: every candidate keeps its
@@ -1065,7 +1139,8 @@ def test_offline_dp_fine_grid_keys_match_scalar_reference(sim_cfg, dt):
 def test_offline_dp_keys_crossing_2_53_match_scalar_reference(trace, sim_cfg, monkeypatch):
     # At dt 1e-7 the (time, buffer, track, rung) cells of a stage number
     # fewer than 2**53 for the first chunks and more from the third on, so
-    # one solve merges by the composite key first and by lexsort after.
+    # one solve merges by the composite key first and by lexsort after. The
+    # solve runs unbounded, so that its stages keep every cell.
     lexsorts = []
 
     def lexsort(keys):
@@ -1074,10 +1149,12 @@ def test_offline_dp_keys_crossing_2_53_match_scalar_reference(trace, sim_cfg, mo
 
     lexsort.numpy = np.lexsort
     monkeypatch.setattr(np, "lexsort", lexsort)
+    monkeypatch.setattr(planners, "_offline_incumbent", lambda *args: -math.inf)
     video, cfg = VideoSpec(n_chunks=6), dataclasses.replace(sim_cfg, dt_s=1e-7)
     decisions, value = offline_optimal_plan(trace, video, cfg)
-    # One lexsort picks the final state; the others are stage merges.
-    assert 1 < len(lexsorts) < video.n_chunks + 1
+    # A stage merge by lexsort sorts the three parts of the key; the final
+    # state and exact ties take lexsorts of other widths.
+    assert 0 < lexsorts.count(3) < video.n_chunks
     ref_decisions, ref_value = _scalar_offline_plan(trace, video, cfg)
     assert decisions == ref_decisions
     assert value.hex() == ref_value.hex()
@@ -1086,11 +1163,12 @@ def test_offline_dp_keys_crossing_2_53_match_scalar_reference(trace, sim_cfg, mo
 def test_offline_dp_refuses_a_stage_past_its_candidate_cap(monkeypatch):
     # At dt_s 1e-6 almost no two candidates share a cell, so each stage
     # grows by up to (satellites x rungs): 20 chunks would pass 5 GB. The
-    # solve stops at chunk 9, the first stage past the cap (1 567 386
-    # candidates), and names dt_s.
+    # unbounded solve stops at chunk 9, the first stage past the cap
+    # (1 564 038 candidates), and names dt_s.
     trace = make_flat_trace([1.0, 2.0], duration_s=60.0)
     cfg = SimConfig(dt_s=1e-6)
-    with pytest.raises(PlanningError, match=r"chunk 9 .*sim\.dt_s=1e-06"):
+    monkeypatch.setattr(planners, "_offline_incumbent", lambda *args: -math.inf)
+    with pytest.raises(PlanningError, match=r"chunk 9 would score 1564038 candidates.*sim\.dt_s=1e-06"):
         offline_optimal_plan(trace, VideoSpec(n_chunks=20), cfg)
     # The cap is inclusive: stages of 6, 36 and 216 candidates.
     video = VideoSpec(n_chunks=3)
