@@ -21,8 +21,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import cache
 
-import numpy as np
-
 from . import simcore
 from .predictors import MIN_OBSERVED_MBPS, OracleProvider, PredictorBank
 from .simcore import (
@@ -36,20 +34,24 @@ from .simcore import (
     chunk_qoe,
     piecewise_download,
     piecewise_downloads,
-    piecewise_downloads_many,
     settle_chunk,
 )
 from .traces import TraceSet, remaining_visible_time, slant_range
 
 NEG_INF = float("-inf")
 # The most (state, visible satellite, rung) candidates one offline-DP stage
-# may score, in the bounded pass and in the unbounded one alike. A stage's
-# working arrays take ~165 bytes per candidate, so this is ~170 MB. On a
-# fine dt_s grid few candidates share a cell, and a stage can grow by
-# (satellites x rungs) per chunk; the bound cuts a stage only as far as
-# its greedy floor is tight, so the cap guards the unbounded pass, which
-# the bounded one falls back to. The README exp.json's largest stage holds
-# ~11k candidates unbounded and ~130 bounded at the default dt_s.
+# may score, in the bounded pass and in the unbounded one alike. A stage
+# keeps at most one state per candidate, and a kept state with its key and
+# values takes ~340-380 bytes (tracemalloc: 57 MB for the 168k states of 8
+# unbounded chunks at dt_s=1e-6, 162 MB for the 429k states kept before
+# the refusal that test_offline_dp_refuses_a_stage_past_its_candidate_cap
+# pins), so a stage at the cap can take ~400 MB, on top of the earlier
+# stages the plan is read back from. On a fine dt_s grid few candidates
+# share a cell, and a stage can grow by (satellites x rungs) per chunk; the
+# bound cuts a stage only as far as its greedy floor is tight, so the cap
+# guards the unbounded pass, which the bounded one falls back to. The
+# README exp.json's largest stage holds ~11k candidates unbounded and
+# ~130 bounded at the default dt_s.
 MAX_OFFLINE_STAGE_CANDIDATES = 1 << 20
 
 
@@ -963,6 +965,95 @@ def _offline_incumbent(trace: TraceSet, video: VideoSpec, cfg: SimConfig) -> flo
     return q - 1e-9 * (abs(q) + 1.0)
 
 
+def _offline_solve(
+    trace: TraceSet, video: VideoSpec, cfg: SimConfig, floor: float
+) -> list[dict] | None:
+    """One pass of offline_optimal_plan's DP above floor: the stages, each
+    a dict from (time cell, buffer cell, rung, satellite) to (QoE, exact
+    time, exact buffer, parent key). None when a stage above a finite
+    floor runs dry."""
+    dt, rtt_s, mu2 = cfg.dt_s, cfg.rtt_s, cfg.mu2
+    delay, chunk_s, max_buf = cfg.handoff_delay_s, video.chunk_duration_s, cfg.max_buffer_s
+    sizes = video.chunk_sizes_mb
+    n_rungs, n_chunks = len(sizes), video.n_chunks
+    gain, switch, ceiling = chunk_scores(video.bitrate_ladder_mbps, cfg.mu1, cfg.mu3, n_chunks)
+    no_switch = (0.0,) * n_rungs  # chunk 0 has no smoothness term
+    by_sample: dict[int, list] = {}
+
+    def visible(t: float) -> list[tuple[int, RateSeries]]:
+        """(satellite, link) of every track visible at t's sample."""
+        idx = trace.clamped_index(t)
+        tracks = by_sample.get(idx)
+        if tracks is None:
+            tracks = by_sample[idx] = [
+                (sat, RateSeries.for_satellite(trace, sat)) for sat in trace.visible_at(t)
+            ]
+        return tracks
+
+    start = simcore.initial_state(trace, video, cfg)
+    init_key = (
+        int(start.wallclock_s / dt), int(start.buffer_s / dt),
+        start.last_bitrate_idx, start.current_satellite,
+    )
+    stage = {init_key: (0.0, start.wallclock_s, start.buffer_s, None)}
+    stages: list[dict] = []
+    for k in range(n_chunks):
+        items = stage.items()
+        if k and floor > NEG_INF:
+            row = ceiling[n_chunks - k]
+            items = [
+                (key, value) for key, value in items
+                if value[0] + row[key[2]] + 1e-9 * (abs(value[0]) + abs(row[key[2]]) + 1.0)
+                >= floor
+            ]
+            if not items:
+                return None
+        n_candidates = n_rungs * sum(len(visible(value[1])) for _, value in items)
+        if n_candidates > MAX_OFFLINE_STAGE_CANDIDATES:
+            raise PlanningError(
+                f"offline search at chunk {k} would score {n_candidates} candidates, more "
+                f"than {MAX_OFFLINE_STAGE_CANDIDATES}: sim.dt_s={dt!r} is too fine a grid "
+                "to merge states; use a coarser dt_s"
+            )
+        new_stage: dict = {}
+        get = new_stage.get
+        for key, (q, t, buf, _) in items:
+            sw = switch[key[2]] if k else no_switch
+            for sat, link in visible(t):
+                # A handoff starts the download, and ends the wait, delay
+                # later; a delay of 0.0 leaves both as they are, bit for bit.
+                d = delay if sat != key[3] else 0.0
+                for rate_idx, wait in enumerate(piecewise_downloads(link, t + d, sizes, rtt_s)):
+                    if wait is None:
+                        break  # sizes ascend, so every larger rung is unbounded too
+                    wait = wait + d
+                    # settle_chunk, with the floats of its max(0.0, x) calls.
+                    if wait > buf:
+                        rebuf = wait - buf
+                        new_buf = chunk_s
+                    else:
+                        rebuf = 0.0
+                        new_buf = (buf - wait) + chunk_s
+                    new_t = t + wait
+                    if new_buf > max_buf:
+                        new_t += new_buf - max_buf
+                        new_buf = max_buf
+                    new_q = ((q + gain[rate_idx]) - mu2 * rebuf) - sw[rate_idx]
+                    new_key = (int(new_t / dt), int(new_buf / dt), rate_idx, sat)
+                    cur = get(new_key)
+                    if cur is None or new_q > cur[0] or (
+                        new_q == cur[0] and (new_t, -new_buf, key) < (cur[1], -cur[2], cur[3])
+                    ):
+                        new_stage[new_key] = (new_q, new_t, new_buf, key)
+        if not new_stage:
+            if floor > NEG_INF:
+                return None
+            raise PlanningError(f"offline search dead-ended at chunk {k}")
+        stages.append(new_stage)
+        stage = new_stage
+    return stages
+
+
 def offline_optimal_plan(
     trace: TraceSet, video: VideoSpec, cfg: SimConfig
 ) -> tuple[list[Decision], float]:
@@ -974,19 +1065,18 @@ def offline_optimal_plan(
     per-chunk decisions and the DP objective, which equals the realized
     session QoE of those decisions.
 
-    Each chunk is one numpy stage over the (state, visible track) rows:
-    the waits of every row and rung come from one piecewise_downloads_many
-    walk over all satellites' links, and the candidates are settled and
-    scored elementwise with the scalar DP's floats. The merge groups the
-    candidates by one argsort of a composite (time cell, buffer cell,
-    track x rung) number whenever the stage's keys span fewer than 2**53
-    of them, so that the number is exact in floats; on finer grids it
-    falls back to a lexsort of the three parts. Each key keeps the
-    candidate with the highest QoE and, on an exact tie, the one with the
-    earlier clock, then the fuller buffer, then the lower parent key,
-    f_sat_dpmpc's rule; only the tied rows are sorted by it. That order is
-    total and does not depend on the order in which a stage lists its
-    states or tracks. The final state is the max over (QoE,) + key.
+    Each chunk is one stage, a dict keyed by state (_offline_solve), the
+    shape of f_sat_dpmpc's: each kept state makes one piecewise_downloads
+    walk per track visible at its time's sample, and each child is
+    settled (settle_chunk's branches, then the drain), scored, keyed and
+    merged inline. A handoff starts the download at t + delay and waits
+    w + delay; QoE is ((q + mu1*b) - mu2*rebuf) - mu3*|b - p|, with no
+    smoothness term at chunk 0. Each key keeps the child with the highest
+    QoE and, on an exact tie, the one with the earlier clock, then the
+    fuller buffer, then the lower parent key, f_sat_dpmpc's rule. That
+    order is total and does not depend on the order in which a stage
+    lists its states or tracks. The final state is the max over
+    (QoE,) + key.
 
     The solve is bounded by a floor, _offline_incumbent's greedy plan
     value. From chunk 1 on, a state at chunk k with QoE q and rung p is
@@ -1006,160 +1096,25 @@ def offline_optimal_plan(
     bounded solve ends below floor. A grid merge can drop
     the greedy plan, so the optimum can fall below it; then, or when a
     bounded stage empties, the DP is solved again without the floor.
+    Bounded, a README exp.json session takes ~2 ms on a 2-core x86
+    host; the unbounded pass takes ~83 ms.
     """
-    dt = cfg.dt_s
-    sizes = video.chunk_sizes_mb
-    n_rungs, n_chunks = len(sizes), video.n_chunks
-    scores = chunk_scores(video.bitrate_ladder_mbps, cfg.mu1, cfg.mu3, n_chunks)
-    gain, switch, ceiling = map(np.asarray, scores)  # switch[prev, rung], ceiling[k, rung]
-    delay, chunk_s, max_buf = cfg.handoff_delay_s, video.chunk_duration_s, cfg.max_buffer_s
-    sat_ids = np.array(trace.sat_ids)
-    series = [RateSeries.for_satellite(trace, sat) for sat in trace.sat_ids]
-    n_cells = len(series) * n_rungs
-    visibility = trace.visibility.T  # [sample, track]
-    last_sample = trace.n_samples - 1
-    start = simcore.initial_state(trace, video, cfg)
-
-    def expand(k, q, t, buf, rung, sat):
-        """Stage k: every (state, track, rung) candidate whose download is
-        bounded, merged by key. Returns the new stage's QoE, time, buffer,
-        rung and satellite id, and each new state's parent index, or None
-        when no download is bounded. Works in place where it can: the
-        candidate arrays dominate the DP's memory."""
-        # clamped_index of every state's time, then its visible tracks.
-        sample = np.minimum(np.maximum(t / trace.sample_dt, 0), last_sample).astype(np.int64)
-        visible = visibility[sample]
-        n_candidates = np.count_nonzero(visible) * n_rungs
-        if n_candidates > MAX_OFFLINE_STAGE_CANDIDATES:
-            raise PlanningError(
-                f"offline search at chunk {k} would score {n_candidates} candidates, more "
-                f"than {MAX_OFFLINE_STAGE_CANDIDATES}: sim.dt_s={dt!r} is too fine a grid "
-                "to merge states; use a coarser dt_s"
-            )
-        states, tracks = np.nonzero(visible)
-        handoff = sat[states] != sat_ids[tracks]
-        starts = np.where(handoff, t[states] + delay, t[states])
-        waits = piecewise_downloads_many(series, starts, sizes, cfg.rtt_s, tracks)
-        waits[handoff] += delay
-        waits = waits.ravel()
-        pos = np.flatnonzero(~np.isnan(waits))  # NaN: unbounded
-        if not pos.size:
-            return None
-        wait = waits[pos]
-        row, new_rung = np.divmod(pos, n_rungs)
-        del waits, pos
-        parent = states[row]
-        cell = tracks[row] * n_rungs + new_rung  # (track, rung)
-        new_t = t[parent]
-        new_t += wait
-        # settle_chunk, with the floats of its max(0.0, x) calls.
-        new_buf = buf[parent]
-        new_buf -= wait
-        new_buf[~(new_buf > 0.0)] = 0.0
-        rebuf = wait  # in place: wait is not needed again
-        rebuf -= buf[parent]
-        rebuf[~(rebuf > 0.0)] = 0.0
-        new_buf += chunk_s
-        over = new_buf > max_buf
-        new_t[over] += new_buf[over] - max_buf
-        new_buf[over] = max_buf
-        new_q = q[parent]
-        new_q += gain[new_rung]
-        rebuf *= cfg.mu2
-        new_q -= rebuf
-        del rebuf
-        if k:  # chunk 0 has no smoothness term
-            new_q -= switch[rung[parent], new_rung]
-
-        # The scalar key (int(t/dt), int(buf/dt), rung, satellite), with the
-        # cell standing for (rung, satellite). Integer-valued floats compare
-        # exactly as those ints do, whatever their size.
-        kt, kb = np.trunc(new_t / dt), np.trunc(new_buf / dt)
-        t_lo, b_lo = kt.min(), kb.min()
-        n_kb = int(kb.max()) - int(b_lo) + 1
-        if (int(kt.max()) - int(t_lo) + 1) * n_kb * n_cells <= 2**53:
-            # One composite key per candidate, every step exact in floats.
-            key = kt - t_lo
-            key *= n_kb
-            key += kb - b_lo
-            key *= n_cells
-            key += cell
-            order = np.argsort(key)
-            key = key[order]
-            head = np.concatenate(([True], key[1:] != key[:-1]))  # a key's first row
-            del key
-        else:  # such keys round as floats: compare them one by one
-            order = np.lexsort((cell, kb, kt))
-            kt, kb, key_cell = kt[order], kb[order], cell[order]
-            head = np.concatenate(([True], (kt[1:] != kt[:-1]) | (kb[1:] != kb[:-1])
-                                   | (key_cell[1:] != key_cell[:-1])))
-            del key_cell
-        del kt, kb
-        # Each key keeps its rows with the highest QoE; a key with more
-        # than one keeps the first by (clock, -buffer, parent key).
-        first = np.flatnonzero(head)
-        group = np.cumsum(head) - 1
-        q_sorted = new_q[order]
-        top = np.flatnonzero(q_sorted == np.maximum.reduceat(q_sorted, first)[group])
-        keep = order[top]
-        if len(top) > len(first):
-            tied = np.bincount(group[top], minlength=len(first))[group[top]] > 1
-            keep, top = keep[~tied], top[tied]
-            rows, up = order[top], parent[order[top]]
-            by_rule = np.lexsort((
-                sat[up], rung[up], np.trunc(buf[up] / dt), np.trunc(t[up] / dt),
-                -new_buf[rows], new_t[rows], group[top],
-            ))
-            won = np.concatenate(([True], np.diff(group[top][by_rule]) != 0))
-            keep = np.concatenate((keep, rows[by_rule[won]]))
-        return (
-            new_q[keep], new_t[keep], new_buf[keep], new_rung[keep],
-            sat_ids[cell[keep] // n_rungs], parent[keep],
-        )
-
-    def solve(floor):
-        """The per-stage rung, satellite and parent arrays and the final
-        stage's QoE, time, buffer, rung and satellite; None when a stage
-        above a finite floor runs dry."""
-        q, t, buf = np.zeros(1), np.zeros(1), np.zeros(1)
-        rung = np.array([start.last_bitrate_idx])
-        sat = np.array([start.current_satellite])
-        back: list[tuple] = []  # per stage: rung, satellite and parent of each state
-        for k in range(n_chunks):
-            if k and floor > NEG_INF:
-                u = ceiling[n_chunks - k][rung]
-                live = q + u + 1e-9 * (np.abs(q) + np.abs(u) + 1.0) >= floor
-                if not live.all():
-                    live = np.flatnonzero(live)
-                    q, t, buf, rung, sat = q[live], t[live], buf[live], rung[live], sat[live]
-                    back[-1] = (rung, sat, back[-1][2][live])
-                    if not live.size:
-                        return None
-            stage = expand(k, q, t, buf, rung, sat)
-            if stage is None:
-                if floor > NEG_INF:
-                    return None
-                raise PlanningError(f"offline search dead-ended at chunk {k}")
-            q, t, buf, rung, sat, parent = stage
-            back.append((rung, sat, parent))
-        return back, q, t, buf, rung, sat
-
     floor = _offline_incumbent(trace, video, cfg)
-    solved = solve(floor)
-    if solved is None or solved[1].max() < floor:
-        solved = solve(NEG_INF)
-    back, q, t, buf, rung, sat = solved
-    best = int(np.lexsort((sat, rung, np.trunc(buf / dt), np.trunc(t / dt), q))[-1])
-    best_q = float(q[best])
+    stages = _offline_solve(trace, video, cfg, floor)
+    if stages is None or max(value[0] for value in stages[-1].values()) < floor:
+        stages = _offline_solve(trace, video, cfg, NEG_INF)
+    last = stages[-1]
+    key = max(last, key=lambda key: (last[key][0],) + key)
+    best_q = last[key][0]
 
     path = []
-    for rungs, sats, parents in reversed(back):
-        path.append((int(rungs[best]), int(sats[best])))
-        best = parents[best]
+    for stage in reversed(stages):
+        path.append(key[2:])
+        key = stage[key][3]
     path.reverse()
 
     decisions = []
-    prev_sat = start.current_satellite
+    prev_sat = key[3]  # the start state's
     for rate_idx, sat_id in path:
         decisions.append(Decision(rate_idx, sat_id, sat_id != prev_sat))
         prev_sat = sat_id

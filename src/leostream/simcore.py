@@ -147,8 +147,7 @@ class RateSeries:
     """
 
     __slots__ = (
-        "anchor_t", "sample_dt", "rates", "_values", "_last", "_next_positive",
-        "_key", "_hash",
+        "anchor_t", "sample_dt", "rates", "_values", "_last", "_key", "_hash",
     )
 
     def __init__(self, anchor_t: float, sample_dt: float, rates):
@@ -159,7 +158,6 @@ class RateSeries:
             raise ValueError("RateSeries needs at least one sample")
         self._values = self.rates.tolist()
         self._last = len(self._values) - 1
-        self._next_positive = None
         self._key = None
         self._hash = None
 
@@ -214,18 +212,6 @@ class RateSeries:
             idx += 1
         return self._values[last], math.inf
 
-    def next_positive(self) -> np.ndarray:
-        """Entry i: the first sample j >= i with a positive rate, or
-        len(rates) when every sample from i on is zero. Built on first use.
-        """
-        table = self._next_positive
-        if table is None:
-            positive = np.flatnonzero(self.rates > 0)
-            ends = np.append(positive, len(self.rates))
-            table = ends[np.searchsorted(positive, np.arange(len(self.rates)))]
-            self._next_positive = table
-        return table
-
     def scaled(self, factor: float) -> "RateSeries":
         return RateSeries(self.anchor_t, self.sample_dt, self.rates * factor)
 
@@ -278,84 +264,6 @@ def piecewise_downloads(
         elif seg_end == math.inf:
             return waits + [None] * (n - len(waits))
         t = seg_end
-
-
-def piecewise_downloads_many(
-    series, starts, sizes_mb, rtt_s: float, tracks=None
-) -> np.ndarray:
-    """piecewise_downloads for many (start time, link) pairs at once, as
-    an (S x R) array.
-
-    series is one RateSeries or a sequence of them on one time axis (the
-    same anchor_t, sample_dt and length; ValueError otherwise), and
-    tracks[i] is the index in it of start i's link (all 0 when omitted),
-    so the links of every satellite walk together. Entry [i, k] is
-    bit-identical to piecewise_downloads(series[tracks[i]], starts[i],
-    sizes_mb, rtt_s)[k], or NaN where that entry is None.
-
-    Each pass of the loop advances every walking start by one segment:
-    the lookup repeats rate_and_edge's arithmetic elementwise, and the
-    finish times and remainders are the same IEEE operations in the same
-    order as the scalar walk. A start on a zero-rate sample jumps to the
-    next positive sample of its link in one step; it lands on anchor +
-    j*dt, the edge the segment-by-segment walk reaches. A start stops
-    walking once its largest size finishes or becomes unbounded.
-    """
-    if isinstance(series, RateSeries):
-        series = (series,)
-    anchor, dt, n_samples = series[0].anchor_t, series[0].sample_dt, len(series[0].rates)
-    if any(s.anchor_t != anchor or s.sample_dt != dt or len(s.rates) != n_samples
-           for s in series):
-        raise ValueError("piecewise_downloads_many needs series on one time axis")
-    starts = np.asarray(starts, dtype=float)
-    sizes = np.asarray(sizes_mb, dtype=float)
-    out = np.full((len(starts), len(sizes)), np.nan)
-    # Every link's samples end to end: start i reads from offset[i] on.
-    rates = np.concatenate([s.rates for s in series])
-    next_positive = np.concatenate([s.next_positive() for s in series])
-    offset = np.zeros(len(starts), np.int64) if tracks is None else np.array(tracks, np.int64)
-    if offset.size and not 0 <= offset.min() <= offset.max() < len(series):
-        raise IndexError("track index out of range")
-    offset *= n_samples
-    last = n_samples - 1
-    # rate_and_edge's edge of each sample, inf after the last one.
-    edges = anchor + np.arange(1, n_samples + 1) * dt
-    edges[last] = np.inf
-    rows = np.arange(len(starts))  # the starts still walking
-    start = starts
-    t = starts + rtt_s
-    remaining = np.broadcast_to(sizes, out.shape).copy()  # NaN once finished
-    waits = out.copy()
-    # Zero rates divide into inf or NaN; those entries are masked out.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        while rows.size:
-            idx = np.minimum(np.maximum((t - anchor) / dt, 0), last).astype(np.int64)
-            edge = edges[idx]
-            stale = edge <= t
-            while stale.any():  # t sits on the edge that closes segment idx
-                idx += stale
-                edge = edges[idx]
-                stale = edge <= t
-            at = offset + idx
-            rate = rates[at]
-            moving = rate > 0
-            finish = remaining / rate[:, None]
-            finish += t[:, None]
-            done = finish <= edge[:, None]
-            done &= moving[:, None]
-            finish -= start[:, None]
-            np.copyto(waits, finish, where=done)
-            remaining -= np.where(moving, rate * (edge - t), 0.0)[:, None]
-            remaining[done] = np.nan
-            jump = next_positive[at]
-            t = np.where(moving, edge, anchor + jump * dt)
-            retired = np.where(moving, done[:, -1], jump > last)
-            if retired.any():
-                out[rows[retired]] = waits[retired]
-                keep = ~retired
-                rows, start, t, offset = rows[keep], start[keep], t[keep], offset[keep]
-                remaining, waits = remaining[keep], waits[keep]
-    return out
 
 
 def piecewise_download(
@@ -625,7 +533,6 @@ __all__ = [
     "EXTENDED_LADDER_MBPS",
     "piecewise_download",
     "piecewise_downloads",
-    "piecewise_downloads_many",
     "settle_chunk",
     "chunk_qoe",
     "validate_decision",

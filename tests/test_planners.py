@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from leostream import planners, simcore
+from leostream import planners
 from leostream.harness import build_controller
 from leostream.planners import (
     BelowFloorError,
@@ -1051,18 +1051,19 @@ def test_offline_dp_matches_scalar_reference(case):
 
 def _counted_offline_plan(trace, video, cfg, incumbent):
     """offline_optimal_plan with _offline_incumbent returning incumbent,
-    and the number of stage walks it made: video.n_chunks for one pass."""
-    walks = []
+    and the floor of each DP pass (_offline_solve call) it made."""
+    passes = []
 
-    def walk(*args):
-        walks.append(1)
-        return simcore.piecewise_downloads_many(*args)
+    def solve(*args):
+        passes.append(args[-1])
+        return solve.planners(*args)
 
+    solve.planners = planners._offline_solve
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(planners, "_offline_incumbent", lambda *args: incumbent)
-        patch.setattr(planners, "piecewise_downloads_many", walk)
+        patch.setattr(planners, "_offline_solve", solve)
         decisions, value = offline_optimal_plan(trace, video, cfg)
-    return (decisions, value.hex()), len(walks)
+    return (decisions, value.hex()), passes
 
 
 @settings(max_examples=150, deadline=None)
@@ -1075,9 +1076,9 @@ def test_bounded_offline_dp_equals_unbounded(case):
     # the order of the stage's states or of the trace's tracks.
     trace, video, cfg = case
     bounded = offline_optimal_plan(trace, video, cfg)
-    unbounded, walks = _counted_offline_plan(trace, video, cfg, -math.inf)
+    unbounded, passes = _counted_offline_plan(trace, video, cfg, -math.inf)
     assert (bounded[0], bounded[1].hex()) == unbounded
-    assert walks == video.n_chunks
+    assert passes == [-math.inf]
     decisions, value = _scalar_offline_plan(trace, video, cfg, reverse=True)
     assert (decisions, value.hex()) == unbounded
     flipped = TraceSet(trace.sample_dt, trace.tracks[::-1], trace.meta)
@@ -1085,13 +1086,13 @@ def test_bounded_offline_dp_equals_unbounded(case):
     assert (decisions, value.hex()) == unbounded
     # A floor at the optimum keeps its path: one pass, the same plan.
     optimum = float.fromhex(unbounded[1])
-    assert _counted_offline_plan(trace, video, cfg, optimum) == (unbounded, video.n_chunks)
+    assert _counted_offline_plan(trace, video, cfg, optimum) == (unbounded, [optimum])
     # A floor above the optimum runs dry or ends below it, and the solve
     # falls back to the unbounded pass.
     for floor in (optimum + 1.0, math.inf):
-        result, walks = _counted_offline_plan(trace, video, cfg, floor)
+        result, passes = _counted_offline_plan(trace, video, cfg, floor)
         assert result == unbounded
-        assert walks > video.n_chunks
+        assert passes == [floor, -math.inf]
 
 
 def test_offline_incumbent_is_a_real_plan_value(sim_cfg):
@@ -1139,22 +1140,11 @@ def test_offline_dp_fine_grid_keys_match_scalar_reference(sim_cfg, dt):
 def test_offline_dp_keys_crossing_2_53_match_scalar_reference(trace, sim_cfg, monkeypatch):
     # At dt 1e-7 the (time, buffer, track, rung) cells of a stage number
     # fewer than 2**53 for the first chunks and more from the third on, so
-    # one solve merges by the composite key first and by lexsort after. The
-    # solve runs unbounded, so that its stages keep every cell.
-    lexsorts = []
-
-    def lexsort(keys):
-        lexsorts.append(len(keys))
-        return lexsort.numpy(keys)
-
-    lexsort.numpy = np.lexsort
-    monkeypatch.setattr(np, "lexsort", lexsort)
+    # that no single float could key them. The solve runs unbounded, so
+    # that its stages keep every cell.
     monkeypatch.setattr(planners, "_offline_incumbent", lambda *args: -math.inf)
     video, cfg = VideoSpec(n_chunks=6), dataclasses.replace(sim_cfg, dt_s=1e-7)
     decisions, value = offline_optimal_plan(trace, video, cfg)
-    # A stage merge by lexsort sorts the three parts of the key; the final
-    # state and exact ties take lexsorts of other widths.
-    assert 0 < lexsorts.count(3) < video.n_chunks
     ref_decisions, ref_value = _scalar_offline_plan(trace, video, cfg)
     assert decisions == ref_decisions
     assert value.hex() == ref_value.hex()

@@ -18,7 +18,6 @@ from leostream.simcore import (
     initial_state,
     piecewise_download,
     piecewise_downloads,
-    piecewise_downloads_many,
     qos,
     session_json,
     session_qoe,
@@ -254,86 +253,6 @@ def test_piecewise_downloads_long_walks_match_per_size_walk_bits_and_lookups(cas
     series.lookups = 0
     _reference_download(series, start_t, sizes[-1], rtt_s)
     assert walk_lookups == series.lookups
-
-
-def test_next_positive_table():
-    series = RateSeries(0.0, 1.0, [0.0, 0.0, 3.0, 0.0, 2.0, 0.0])
-    assert series.next_positive().tolist() == [2, 2, 2, 4, 4, 6]
-    assert RateSeries.constant(0.0).next_positive().tolist() == [1]
-    assert RateSeries.constant(2.0).next_positive().tolist() == [0]
-
-
-def _zero_run(draw, n):
-    return [0.0] * draw(st.integers(0, n))
-
-
-@st.composite
-def _many_download_cases(draw):
-    """1-3 links on one time axis, a link per start: zero runs at the
-    start, the middle and the tail; off-grid and negative anchors;
-    one-sample series; starts before the anchor. A lone link is passed
-    bare half the time, with no track indices."""
-    positive = st.floats(0.05, 12.0)
-
-    def rates():
-        rates = (
-            _zero_run(draw, 3)
-            + draw(st.lists(positive, max_size=3))
-            + _zero_run(draw, 4)
-            + draw(st.lists(positive, max_size=3))
-            + _zero_run(draw, 3)
-        )
-        if not rates or draw(st.booleans()):
-            rates.append(draw(st.just(0.0) | positive))
-        return rates
-
-    links = [rates() for _ in range(draw(st.integers(1, 3)))]
-    if draw(st.integers(0, 4)) == 0:
-        links = [rates[-1:] for rates in links]  # one sample, held forever
-    n_samples = max(map(len, links))
-    links = [rates + rates[-1:] * (n_samples - len(rates)) for rates in links]
-    anchor = draw(st.sampled_from((0.0, -2.0)) | st.floats(-3.0, 3.0))
-    dt = draw(st.sampled_from((0.25, 0.3, 0.5, 1.0, 2.0)))
-    series = [RateSeries(anchor, dt, rates) for rates in links]
-    starts = draw(st.lists(st.floats(-5.0, 15.0) | st.sampled_from((anchor, anchor - 1.0)),
-                           min_size=1, max_size=8))
-    tracks = [draw(st.integers(0, len(series) - 1)) for _ in starts]
-    if len(series) == 1 and draw(st.booleans()):
-        series, tracks = series[0], None
-    sizes = sorted(draw(st.lists(st.floats(0.01, 30.0), min_size=1, max_size=6)))
-    return series, starts, sizes, draw(st.sampled_from((0.0, 0.08))), tracks
-
-
-@settings(max_examples=300)
-@given(_many_download_cases())
-@example((RateSeries(0.0, 1.0, [0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 4.0, 0.0]),
-          [0.0, 0.5, 2.5, 3.0, 9.0], [0.6, 2.4, 5.7, 12.0], 0.0, None))
-@example((RateSeries(-0.7, 0.3, [0.0, 2.0, 0.0, 0.0, 1.0]),
-          [-3.0, -0.7, 0.05, 1.0], [0.5, 1.5], 0.08, None))
-@example(([RateSeries(0.0, 1.0, [0.0, 0.0, 5.0, 0.0]), RateSeries(0.0, 1.0, [3.0, 0.0, 0.0, 0.0]),
-           RateSeries(0.0, 1.0, [0.0, 1.0, 0.0, 2.0])],
-          [0.0, 0.0, 0.0, 2.5, 2.5], [0.6, 2.4, 5.7], 0.08, [0, 1, 2, 2, 0]))
-def test_piecewise_downloads_many_matches_scalar_walk(case):
-    series, starts, sizes, rtt_s, tracks = case
-    got = piecewise_downloads_many(series, starts, sizes, rtt_s, tracks)
-    assert got.shape == (len(starts), len(sizes))
-    if tracks is None:
-        series, tracks = [series], [0] * len(starts)
-    for row, start_t, track in zip(got.tolist(), starts, tracks):
-        expected = piecewise_downloads(series[track], start_t, sizes, rtt_s)
-        expected = [None if w is None else w.hex() for w in expected]
-        assert [None if math.isnan(w) else w.hex() for w in row] == expected
-
-
-def test_piecewise_downloads_many_needs_one_time_axis():
-    link = RateSeries(0.0, 1.0, [1.0, 2.0])
-    for other in (RateSeries(0.5, 1.0, [1.0, 2.0]), RateSeries(0.0, 0.5, [1.0, 2.0]),
-                  RateSeries(0.0, 1.0, [1.0, 2.0, 3.0])):
-        with pytest.raises(ValueError, match="one time axis"):
-            piecewise_downloads_many([link, other], [0.0, 0.0], [1.0], 0.0, [0, 1])
-    for track in (-1, 2):
-        with pytest.raises(IndexError, match="track"):
-            piecewise_downloads_many([link, link], [0.0], [1.0], 0.0, [track])
 
 
 def test_video_spec_chunk_sizes_and_duration_check():
