@@ -36,7 +36,7 @@ from .simcore import (
     piecewise_downloads,
     settle_chunk,
 )
-from .traces import TraceSet, remaining_visible_time, slant_range
+from .traces import TraceSet, remaining_visible_time
 
 NEG_INF = float("-inf")
 # The most (state, visible satellite, rung) candidates one offline-DP stage
@@ -699,10 +699,19 @@ class _PredictingController:
         satellite leaves visibility, and the inverse-square shape of the
         rate along the pass. The scalar sets the level; the geometry sets
         the trend. Hand-built traces without pass geometry fall back to a
-        flat forecast over the visibility window.
+        flat forecast over the visibility window. A pass with no known end
+        (pass_end = inf) that stays visible to the end of the trace is
+        forecast to the trace end, one rate per remaining sample; as in
+        every RateSeries, the last rate then holds.
+
+        Rate k is value * d(t_q)^2 / d(t_q + (k + 0.5) dt)^2, with d the
+        slant range computed as slant_range computes it: the pass
+        constants are read once and each sample keeps slant_range's float
+        order, so the rates are those of calling it per sample.
         """
         dt = trace.sample_dt
-        t_q = trace.clamped_index(t) * trace.sample_dt
+        idx = trace.clamped_index(t)
+        t_q = idx * dt
         remaining = remaining_visible_time(trace, sat, t)
         if remaining < math.inf:
             # Model the cliff one sample early: a download stranded past
@@ -724,11 +733,16 @@ class _PredictingController:
 
         if remaining < math.inf:
             n = max(int(remaining // dt), 1)
-        else:
+        elif active.pass_end < math.inf:
             n = max(1, int(math.ceil(max(active.pass_end - t_q, dt) / dt)))
-        d_now_sq = slant_range(active, t_q) ** 2
+        else:
+            n = trace.n_samples - idx
+        speed, t_ca = active.speed_kms, active.closest_approach_time
+        d_min_sq = active.altitude_km**2 + active.cross_track_km**2
+        sqrt = math.sqrt
+        level = value * sqrt(d_min_sq + (speed * (t_q - t_ca)) ** 2) ** 2
         rates = [
-            value * d_now_sq / slant_range(active, t_q + (k + 0.5) * dt) ** 2
+            level / sqrt(d_min_sq + (speed * (t_q + (k + 0.5) * dt - t_ca)) ** 2) ** 2
             for k in range(n)
         ]
         if remaining < math.inf:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,18 +137,22 @@ class SatelliteTrack:
 class TraceSet:
     """Per-satellite throughput/elevation/visibility on one shared time axis.
 
-    The set is treated as immutable: construction caches the visibility
-    of every track as one (satellites x samples) matrix, in track order,
-    and a satellite id -> track row map. rate_series holds each
-    satellite's throughput as a simcore.RateSeries, built on first use by
-    RateSeries.for_satellite.
+    The set is treated as immutable. Construction keeps a satellite id ->
+    track row map; the per-sample queries read lookup tables that are
+    built on first use, once per trace, and never compared or copied:
+    - the ids visible at each sample, one shared tuple per distinct set;
+    - per satellite, the sample at which each visibility run ends;
+    - rate_series, each satellite's throughput as a simcore.RateSeries,
+      built by RateSeries.for_satellite.
     """
 
     sample_dt: float
     tracks: tuple[SatelliteTrack, ...]
     meta: dict = field(default_factory=dict)
-    visibility: np.ndarray = field(init=False, repr=False)
     _rows: dict = field(init=False, repr=False)
+    _last_index: int = field(init=False, repr=False)
+    _visible_ids: list | None = field(init=False, repr=False, default=None)
+    _run_ends: dict = field(init=False, repr=False, default_factory=dict)
     rate_series: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -174,9 +179,8 @@ class TraceSet:
                 raise TraceError(
                     f"satellite {tr.sat_id}: nonzero throughput while invisible"
                 )
-        visibility = np.array([np.asarray(tr.visible, dtype=bool) for tr in self.tracks])
-        object.__setattr__(self, "visibility", visibility)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_last_index", n - 1)
 
     def __eq__(self, other):
         if not isinstance(other, TraceSet):
@@ -189,7 +193,7 @@ class TraceSet:
 
     @property
     def n_samples(self) -> int:
-        return len(self.tracks[0].throughput_mbps)
+        return self._last_index + 1
 
     @property
     def duration_s(self) -> float:
@@ -207,16 +211,35 @@ class TraceSet:
 
     def clamped_index(self, t: float) -> int:
         """The sample containing t, out-of-range times clamped to the ends."""
-        return max(0, min(int(t / self.sample_dt), self.n_samples - 1))
+        idx = int(t / self.sample_dt)
+        last = self._last_index
+        if idx > last:
+            idx = last
+        return idx if idx > 0 else 0
 
     def visible_at(self, t: float) -> list[int]:
         """Ids visible at the sample containing t, in ascending id order."""
-        column = self.visibility[:, self.clamped_index(t)]
-        return sorted(sat for sat, row in self._rows.items() if column[row])
+        table = self._visible_ids
+        if table is None:
+            by_id = sorted(self.tracks, key=lambda tr: tr.sat_id)
+            flags = np.array([np.asarray(tr.visible, dtype=bool) for tr in by_id])
+            columns, which = np.unique(flags, axis=1, return_inverse=True)
+            sets = [
+                tuple(tr.sat_id for tr, seen in zip(by_id, column) if seen)
+                for column in columns.T.tolist()
+            ]
+            table = [sets[j] for j in np.ravel(which).tolist()]
+            object.__setattr__(self, "_visible_ids", table)
+        return list(table[self.clamped_index(t)])
 
     def rate_at(self, sat_id: int, t: float) -> float:
         """The satellite's throughput at the sample containing t."""
-        return float(self.track(sat_id).throughput_mbps[self.clamped_index(t)])
+        series = self.rate_series.get(sat_id)
+        if series is None:
+            from .simcore import RateSeries
+
+            series = RateSeries.for_satellite(self, sat_id)
+        return series._values[self.clamped_index(t)]
 
     def strongest_visible(self, t: float) -> int | None:
         """The visible satellite with the highest rate at t, the lowest id on
@@ -225,6 +248,22 @@ class TraceSet:
         if not visible:
             return None
         return min(visible, key=lambda sat: (-self.rate_at(sat, t), sat))
+
+    def _run_end_table(self, sat_id: int) -> array:
+        """Per sample i, the first sample from i on at which the satellite
+        is invisible, or n_samples if none: i itself while it is
+        invisible."""
+        ends = self._run_ends.get(sat_id)
+        if ends is None:
+            visible = np.asarray(self.track(sat_id).visible, dtype=bool).tolist()
+            end = len(visible)
+            ends = array("i", [end]) * end
+            for i in range(end - 1, -1, -1):
+                if not visible[i]:
+                    end = i
+                ends[i] = end
+            self._run_ends[sat_id] = ends
+        return ends
 
 
 def slant_range(pass_geom: PassGeometry, t: float) -> float:
@@ -410,15 +449,14 @@ def remaining_visible_time(trace: TraceSet, sat_id: int, t: float) -> float:
     Returns 0 if invisible at t, and +inf when visibility extends through
     the end of the trace (no known horizon exit).
     """
-    tr = trace.track(sat_id)
+    ends = trace._run_end_table(sat_id)
     idx = trace.clamped_index(t)
-    if not tr.visible[idx]:
+    end = ends[idx]
+    if end == idx:
         return 0.0
-    invisible_after = np.nonzero(~tr.visible[idx:])[0]
-    if len(invisible_after) == 0:
+    if end > trace._last_index:
         return math.inf
-    end_t = (idx + int(invisible_after[0])) * trace.sample_dt
-    return end_t - idx * trace.sample_dt
+    return end * trace.sample_dt - idx * trace.sample_dt
 
 
 def _meta_sidecar(path: Path) -> Path:

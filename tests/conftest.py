@@ -56,6 +56,38 @@ def make_flat_trace(rates_mbps, duration_s=200.0, sample_dt=1.0, visible=None):
     return TraceSet(sample_dt=sample_dt, tracks=tuple(tracks), meta={})
 
 
+def reference_clamped_index(trace: TraceSet, t: float) -> int:
+    """TraceSet.clamped_index as one expression over the track length."""
+    return max(0, min(int(t / trace.sample_dt), len(trace.tracks[0].throughput_mbps) - 1))
+
+
+def reference_visible_at(trace: TraceSet, t: float) -> list[int]:
+    """TraceSet.visible_at read from a (satellites x samples) visibility
+    matrix per call: the reference for its per-sample table."""
+    visibility = np.array([np.asarray(tr.visible, dtype=bool) for tr in trace.tracks])
+    column = visibility[:, reference_clamped_index(trace, t)]
+    return sorted(tr.sat_id for row, tr in enumerate(trace.tracks) if column[row])
+
+
+def reference_rate_at(trace: TraceSet, sat_id: int, t: float) -> float:
+    """TraceSet.rate_at read from the track's numpy array per call."""
+    return float(trace.track(sat_id).throughput_mbps[reference_clamped_index(trace, t)])
+
+
+def reference_remaining_visible_time(trace: TraceSet, sat_id: int, t: float) -> float:
+    """traces.remaining_visible_time as a numpy scan from t's sample on:
+    the reference for its per-satellite run-end table."""
+    tr = trace.track(sat_id)
+    idx = reference_clamped_index(trace, t)
+    if not tr.visible[idx]:
+        return 0.0
+    invisible_after = np.nonzero(~tr.visible[idx:])[0]
+    if len(invisible_after) == 0:
+        return math.inf
+    end_t = (idx + int(invisible_after[0])) * trace.sample_dt
+    return end_t - idx * trace.sample_dt
+
+
 def suite_trace(seed: int) -> TraceSet:
     return gen_trace_set(TraceGenConfig(seed=seed, **SUITE_KWARGS))
 

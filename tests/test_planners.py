@@ -43,9 +43,26 @@ from leostream.simcore import (
     settle_chunk,
     step_chunk,
 )
-from leostream.traces import TraceGenConfig, TraceSet, gen_trace_set, inject_obstructions
+from leostream.predictors import MIN_OBSERVED_MBPS
+from leostream.traces import (
+    PassGeometry,
+    SatelliteTrack,
+    TraceGenConfig,
+    TraceSet,
+    gen_trace_set,
+    inject_obstructions,
+    slant_range,
+)
 
-from conftest import assert_best_first_floors, make_flat_trace, step_seed, suite_trace
+from conftest import (
+    SUITE_KWARGS,
+    assert_best_first_floors,
+    make_flat_trace,
+    reference_clamped_index,
+    reference_remaining_visible_time,
+    step_seed,
+    suite_trace,
+)
 
 
 def _instance(video, cfg, buffer_s=8.0, last_idx=0, start_t=0.0, h=None,
@@ -826,6 +843,124 @@ def test_visibility_queries_index_a_time_once():
     assert baseline_handoff("mvt", 1, trace, t, 2.0) == 1
     ctrl = JointMpcController(VideoSpec(), SimConfig(), mode="dual")
     assert ctrl._horizon_link(trace, t, 1, 3.0) == RateSeries.constant(3.0)
+
+
+def _reference_horizon_link(trace, t, sat, value):
+    """JointMpcController._horizon_link with one slant_range call per
+    predicted sample and the numpy trace queries."""
+    dt = trace.sample_dt
+    idx = reference_clamped_index(trace, t)
+    t_q = idx * dt
+    remaining = reference_remaining_visible_time(trace, sat, t)
+    if remaining < math.inf:
+        remaining -= dt
+    if remaining <= 0.0:
+        return RateSeries.constant(MIN_OBSERVED_MBPS)
+    active = next(
+        (g for g in trace.track(sat).passes if g.pass_start <= t_q <= g.pass_end), None
+    )
+    if active is None:
+        if remaining == math.inf:
+            return RateSeries.constant(value)
+        return RateSeries(t_q, remaining, [value, MIN_OBSERVED_MBPS])
+    if remaining < math.inf:
+        n = max(int(remaining // dt), 1)
+    elif active.pass_end < math.inf:
+        n = max(1, int(math.ceil(max(active.pass_end - t_q, dt) / dt)))
+    else:
+        n = len(trace.tracks[0].throughput_mbps) - idx  # to the trace end
+    d_now_sq = slant_range(active, t_q) ** 2
+    rates = [
+        value * d_now_sq / slant_range(active, t_q + (k + 0.5) * dt) ** 2
+        for k in range(n)
+    ]
+    if remaining < math.inf:
+        rates.append(MIN_OBSERVED_MBPS)
+    return RateSeries(t_q, dt, rates)
+
+
+def _link_kind(trace, t, sat):
+    """Which branch of _horizon_link a query takes."""
+    remaining = reference_remaining_visible_time(trace, sat, t)
+    t_q = reference_clamped_index(trace, t) * trace.sample_dt
+    active = [g for g in trace.track(sat).passes if g.pass_start <= t_q <= g.pass_end]
+    if remaining <= trace.sample_dt and remaining < math.inf:
+        return "floor"
+    if not active:
+        return "flat" if remaining == math.inf else "flat-cliff"
+    if remaining < math.inf:
+        return "pass-cliff"
+    return "pass-open" if active[0].pass_end == math.inf else "pass-to-end"
+
+
+def _assert_links_hex_equal(trace, t, sat, value):
+    ctrl = JointMpcController(VideoSpec(), SimConfig(), mode="dual")
+    link = ctrl._horizon_link(trace, t, sat, value)
+    ref = _reference_horizon_link(trace, t, sat, value)
+    assert (link.anchor_t, link.sample_dt) == (ref.anchor_t, ref.sample_dt)
+    assert [r.hex() for r in link.rates.tolist()] == [r.hex() for r in ref.rates.tolist()]
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.5, 1.0, 2.0])
+def test_horizon_link_rates_equal_per_sample_slant_ranges(dt):
+    # Generated passes: every 5th sample of each satellite, mid-sample and
+    # on the edge; links that end at a pass exit and links that run to the
+    # trace end.
+    kinds = set()
+    for seed in (0, 7):
+        trace = gen_trace_set(TraceGenConfig(
+            seed=seed, sample_dt=dt, **{**SUITE_KWARGS, "duration_s": 150.0}
+        ))
+        for k in range(0, trace.n_samples, 5):
+            for sat in trace.sat_ids:
+                t = (k + (0.5 if k % 2 else 0.0)) * dt
+                kinds.add(_link_kind(trace, t, sat))
+                _assert_links_hex_equal(trace, t, sat, 3.0 + 0.37 * k)
+        t_last = trace.duration_s - 0.5 * dt
+        for sat in trace.sat_ids:
+            kinds.add(_link_kind(trace, t_last, sat))
+            _assert_links_hex_equal(trace, t_last, sat, 4.1)
+    assert {"floor", "pass-cliff", "pass-to-end"} <= kinds
+
+
+def _unbounded_pass_trace(n=60, visible=None):
+    """One always-visible (or visible-where-given) track whose pass has the
+    default unbounded start and end."""
+    vis = np.ones(n, dtype=bool) if visible is None else np.asarray(visible, dtype=bool)
+    track = SatelliteTrack(
+        0, (PassGeometry(closest_approach_time=30.0),),
+        np.where(vis, 5.0, 0.0), np.where(vis, 90.0, 0.0), vis,
+    )
+    return TraceSet(1.0, (track,))
+
+
+def test_horizon_link_without_a_pass_end_and_without_a_pass():
+    open_pass = _unbounded_pass_trace()
+    closing_pass = _unbounded_pass_trace(visible=[i < 40 for i in range(60)])
+    flat = make_flat_trace([5.0], duration_s=60.0)
+    cliff = make_flat_trace([5.0], duration_s=60.0, visible=[[i < 40 for i in range(60)]])
+    cases = {"pass-open": open_pass, "pass-cliff": closing_pass, "flat": flat, "flat-cliff": cliff}
+    for kind, trace in cases.items():
+        for t in (0.0, 12.5, 38.0, 59.5):
+            if reference_remaining_visible_time(trace, 0, t) > 1.0:
+                assert _link_kind(trace, t, 0) == kind
+            _assert_links_hex_equal(trace, t, 0, 2.75)
+
+    # The pass has no end, so the link runs to the trace end: one rate per
+    # sample from 12 s to 60 s, and the last rate holds.
+    ctrl = JointMpcController(VideoSpec(), SimConfig(), mode="dual")
+    link = ctrl._horizon_link(open_pass, 12.5, 0, 2.75)
+    assert (link.anchor_t, len(link.rates)) == (12.0, 48)
+    assert link.rate_and_edge(1e6) == (link.rates[-1], math.inf)
+
+
+def test_session_on_a_pass_without_an_end_runs(video, sim_cfg):
+    # Used to raise OverflowError from math.ceil(inf) inside _horizon_link.
+    trace = _unbounded_pass_trace()
+    ctrl = JointMpcController(video, sim_cfg, mode="dual")
+    result = run_session(trace, ctrl, video, sim_cfg)
+    assert len(result.decisions) == video.n_chunks
+    assert result.handoff_count == 0
 
 
 def test_separate_mb_equals_single_satellite_mpc_on_equal_flats(video, sim_cfg):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,13 @@ from leostream.traces import (
     write_trace,
 )
 
-from conftest import make_flat_trace
+from conftest import (
+    make_flat_trace,
+    reference_clamped_index,
+    reference_rate_at,
+    reference_remaining_visible_time,
+    reference_visible_at,
+)
 
 
 def test_slant_range_at_closest_approach():
@@ -202,8 +209,8 @@ def test_visible_satellites_and_gaps():
 
 
 def test_visibility_matrix_and_id_rows():
-    # Tracks out of id order: the matrix keeps track order, visible_at
-    # lists ids ascending.
+    # Tracks out of id order: the set keeps track order, visible_at lists
+    # ids ascending.
     tracks = make_flat_trace([5.0, 6.0, 7.0], duration_s=4.0, visible=[
         [1, 1, 0, 0], [0, 1, 1, 0], [1, 0, 1, 0],
     ]).tracks
@@ -212,9 +219,7 @@ def test_visibility_matrix_and_id_rows():
         SatelliteTrack(sat, tr.passes, tr.throughput_mbps, tr.elevation_deg, tr.visible)
         for sat, tr in zip(ids, tracks)
     ))
-    assert trace.visibility.tolist() == [
-        [True, True, False, False], [False, True, True, False], [True, False, True, False],
-    ]
+    assert trace.sat_ids == ids
     assert [trace.visible_at(i) for i in range(4)] == [[4, 7], [2, 7], [2, 4], []]
     assert all(type(sat) is int for sat in trace.visible_at(0))
     assert [trace.track(sat).sat_id for sat in (2, 4, 7)] == [2, 4, 7]
@@ -339,6 +344,96 @@ def test_sample_queries_match_a_scan_of_the_tracks(trace, data):
             ):
                 best = tr
         assert trace.strongest_visible(t) == (None if best is None else best.sat_id)
+
+
+@st.composite
+def _obstructed_relabelled_traces(draw):
+    """Generated 1-3 satellite traces at sample_dt 0.1, 1 or 2 s, with up
+    to two obstruction windows, under distinct ids in any track order.
+    Short passes leave each satellite invisible between them."""
+    n = draw(st.integers(1, 3))
+    cfg = TraceGenConfig(
+        n_satellites=n,
+        sample_dt=draw(st.sampled_from((0.1, 1.0, 2.0))),
+        duration_s=draw(st.sampled_from((30.0, 150.0))),
+        min_elevation_deg=45.0,
+        altitude_km=250.0,
+        seed=draw(st.integers(0, 10_000)),
+    )
+    trace = gen_trace_set(cfg)
+    windows = []
+    for _ in range(draw(st.integers(0, 2))):
+        begin = draw(st.floats(0.0, cfg.duration_s - 1.0))
+        end = min(cfg.duration_s, begin + draw(st.sampled_from((1.0, 12.0))))
+        windows.append((draw(st.sampled_from(trace.sat_ids)), begin, end))
+    if windows:
+        trace = inject_obstructions(trace, windows)
+    ids = draw(st.permutations(sorted(draw(
+        st.lists(st.integers(0, 99), min_size=n, max_size=n, unique=True)
+    ))))
+    tracks = tuple(dataclasses.replace(tr, sat_id=sat) for tr, sat in zip(trace.tracks, ids))
+    return TraceSet(trace.sample_dt, tracks, trace.meta)
+
+
+@settings(max_examples=40)
+@given(_obstructed_relabelled_traces())
+def test_sample_tables_match_the_numpy_queries(trace):
+    # Every sample edge and midpoint, and times before 0 and past the end.
+    dt, n = trace.sample_dt, trace.n_samples
+    times = [-2.5 * dt, -dt, -0.5 * dt, -1e-9, (n + 0.5) * dt, (n + 3) * dt]
+    times += [k * dt for k in range(n + 1)] + [(k + 0.5) * dt for k in range(n)]
+    for t in times:
+        idx = trace.clamped_index(t)
+        assert type(idx) is int and idx == reference_clamped_index(trace, t)
+        visible = trace.visible_at(t)
+        assert type(visible) is list and visible == reference_visible_at(trace, t)
+        assert all(type(sat) is int for sat in visible)
+        for sat in trace.sat_ids:
+            rate = trace.rate_at(sat, t)
+            assert type(rate) is float and rate == reference_rate_at(trace, sat, t)
+            remaining = remaining_visible_time(trace, sat, t)
+            assert type(remaining) is float
+            assert remaining == reference_remaining_visible_time(trace, sat, t)
+            assert (remaining == math.inf) == (remaining is math.inf)
+
+
+def test_sample_tables_are_small_and_stay_out_of_equality(tmp_path):
+    trace = gen_trace_set(TraceGenConfig(duration_s=400.0, n_satellites=2, seed=5))
+    write_trace(trace, tmp_path / "trace.csv")
+    built = [
+        trace,
+        make_flat_trace([5.0, 6.0], duration_s=40.0),
+        inject_obstructions(trace, [(0, 10.0, 30.0)]),
+        read_trace(tmp_path / "trace.csv"),
+    ]
+    for fresh in built:
+        assert fresh._visible_ids is None and not fresh._run_ends and not fresh.rate_series
+
+    # The visible-id and run-end tables of 400 samples and 2 satellites;
+    # equal visible sets share one tuple. Another trace's tables are built
+    # first, so that no one-time allocation of the process is counted.
+    assert trace.n_samples == 400
+    built[1].visible_at(0.0)
+    remaining_visible_time(built[1], 0, 0.0)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trace.visible_at(0.0)
+        for sat in trace.sat_ids:
+            remaining_visible_time(trace, sat, 0.0)
+        table_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert table_bytes < 10_000
+    assert len({id(ids) for ids in trace._visible_ids}) == len(set(trace._visible_ids))
+    trace.rate_at(0, 0.0)
+    assert trace._visible_ids and len(trace._run_ends) == 2 and trace.rate_series
+
+    twin = gen_trace_set(TraceGenConfig(duration_s=400.0, n_satellites=2, seed=5))
+    assert twin == trace and trace == twin
+    copy = dataclasses.replace(trace)
+    assert copy == trace
+    assert copy._visible_ids is None and not copy._run_ends and not copy.rate_series
 
 
 def test_read_rejects_negative_throughput(tmp_path):
