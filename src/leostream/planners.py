@@ -40,18 +40,19 @@ from .traces import TraceSet, remaining_visible_time
 
 NEG_INF = float("-inf")
 # The most (state, visible satellite, rung) candidates one offline-DP stage
-# may score, in the bounded pass and in the unbounded one alike. A stage
-# keeps at most one state per candidate, and a kept state with its key and
-# values takes ~340-380 bytes (tracemalloc: 57 MB for the 168k states of 8
-# unbounded chunks at dt_s=1e-6, 162 MB for the 429k states kept before
-# the refusal that test_offline_dp_refuses_a_stage_past_its_candidate_cap
-# pins), so a stage at the cap can take ~400 MB, on top of the earlier
-# stages the plan is read back from. On a fine dt_s grid few candidates
-# share a cell, and a stage can grow by (satellites x rungs) per chunk; the
-# bound cuts a stage only as far as its greedy floor is tight, so the cap
-# guards the unbounded pass, which the bounded one falls back to. The
-# README exp.json's largest stage holds ~11k candidates unbounded and
-# ~130 bounded at the default dt_s.
+# may score, in the bounded pass and in the unbounded one alike; _grid_dp
+# counts them before it scores the stage. A stage keeps at most one state
+# per candidate, and a kept state with its key and values takes ~340-380
+# bytes (tracemalloc: 57 MB for the 168k states of 8 unbounded chunks at
+# dt_s=1e-6, 162 MB for the states kept before the refusal that
+# test_offline_dp_refuses_a_stage_past_its_candidate_cap pins), so a stage
+# at the cap can take ~400 MB, on top of the earlier stages the plan is
+# read back from. On a fine dt_s grid few candidates share a cell, and a
+# stage can grow by (satellites x rungs) per chunk; the bound cuts a stage
+# only as far as its greedy floor is tight, so the cap guards the unbounded
+# pass, which the bounded one falls back to. The README exp.json's largest
+# stage holds ~11k candidates unbounded and ~130 bounded at the default
+# dt_s.
 MAX_OFFLINE_STAGE_CANDIDATES = 1 << 20
 
 
@@ -60,7 +61,7 @@ class PlanningError(RuntimeError):
 
 
 class BelowFloorError(Exception):
-    """No plan of a floored DP solve reaches its floor (f_sat_dpmpc).
+    """No plan of a floored DP solve reaches its floor (_grid_dp).
 
     states_visited counts the states the solve kept before it ran dry, as
     PlanResult.states_visited counts those of a solve that returns.
@@ -199,11 +200,12 @@ def _child_expander(inst: PlanInstance):
     does), mu1*b and mu3*|b - p| come from chunk_scores, and q keeps
     chunk_qoe's association, total + ((mu1*b - mu2*rebuf) - mu3*|b - p|).
 
-    f_sat_dpmpc inlines these floats in its stage loop rather than call
-    expand per state. Each copy is pinned against a scalar reference:
-    this one by test_prefix_shared_search_matches_naive_enumeration, the
-    DP's by test_dp_matches_scalar_reference_and_reevaluates_exactly and
-    test_dp_merge_ignores_stage_order, both by golden/check.py.
+    _grid_dp, the one stage loop of both DPs, inlines these floats rather
+    than call expand per state. Each copy is pinned against a scalar
+    reference: this one by test_prefix_shared_search_matches_naive_enumeration,
+    the DP's by test_dp_matches_scalar_reference_and_reevaluates_exactly,
+    test_dp_merge_ignores_stage_order and
+    test_offline_dp_matches_scalar_reference, both by golden/check.py.
     """
     sizes = inst.video.chunk_sizes_mb
     sim = inst.sim
@@ -322,122 +324,158 @@ def f_sat_mpc(inst: PlanInstance) -> PlanResult:
     return _plan_exhaustive(inst)
 
 
-def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
-    """The exhaustive search's objective, solved by a DP on the dt_s grid.
+def _grid_dp(
+    start: tuple, links, n_stages: int, video: VideoSpec, sim: SimConfig,
+    floor: float = NEG_INF, first_switch: bool = True, max_candidates: int | None = None,
+) -> list[dict]:
+    """One DP solve on the sim.dt_s grid, shared by f_sat_dpmpc and
+    offline_optimal_plan: the stages, each a dict from (time cell, buffer
+    cell, rung, satellite) to (QoE, exact time, exact buffer, parent key).
 
-    States are keyed by (floor(time/dt), floor(buffer/dt), bitrate) with
-    dt = inst.sim.dt_s; each key keeps the best accumulated QoE together
-    with its exact time and buffer, so the returned QoE is the true value
-    of a real plan. It matches the exhaustive search whenever no two
-    plans collide on the grid. When they do, the cell keeps the plan
-    with more QoE so far, which can pay for its later clock (a rate
+    start is the (time, buffer, rung, satellite) of the one start state,
+    and links(k, t) lists the (satellite, RateSeries) pairs a state at
+    time t may download stage k's chunk from. A child whose satellite
+    differs from its parent's hands off: its download starts at
+    t + handoff_delay_s, and its wait adds the delay; a delay of 0.0
+    leaves both as they are, bit for bit. Each kept state makes one
+    piecewise_downloads walk per pair, and each child is settled
+    (settle_chunk's branches, then the drain), scored and keyed with the
+    floats of _child_expander: q + ((mu1*b - mu2*rebuf) - mu3*|b - p|),
+    the association session_qoe sums a replayed session in. With
+    first_switch False the first stage charges no switch.
+
+    A merge keeps the child with the highest QoE and, on an exact tie,
+    the one with the earlier clock, then the fuller buffer, then the
+    lower parent key. That order is total and does not depend on the
+    order in which a stage lists its states or links.
+
+    floor asks only for a plan scoring >= floor. From stage 1 on, a state
+    at stage k with QoE q and rung p is not expanded when
+    q + U + 1e-9*(|q| + |U| + 1) < floor, where U = U[n_stages - k][p]
+    of chunk_scores bounds the chunks left (mu2 >= 0) and the slack
+    covers the rounding of the sums; the start state is always expanded,
+    because an uncharged first switch is still counted by U. Every state
+    on the path of a plan scoring >= floor is then expanded with the
+    values the unbounded solve gives it. Where a skipped state's child
+    would have won a cell, the cell keeps a child that scores no more and
+    so, like it, ends below floor on every continuation; with the
+    order-free tie rule each cell on such a path keeps the unbounded
+    solve's winner. So the stages hold the unbounded solve's best plan,
+    bit for bit, when it reaches floor; otherwise BelowFloorError, with
+    the states kept so far, is raised. A stage that empties with no
+    state skipped raises UnboundedDownloadError.
+
+    max_candidates, when given, refuses with PlanningError, before it is
+    scored, a stage of more (kept state, link, rung) candidates.
+    """
+    dt, rtt_s, mu2, delay = sim.dt_s, sim.rtt_s, sim.mu2, sim.handoff_delay_s
+    sizes, chunk_s, max_buf = video.chunk_sizes_mb, video.chunk_duration_s, sim.max_buffer_s
+    gain, switch, ceiling = chunk_scores(video.bitrate_ladder_mbps, sim.mu1, sim.mu3, n_stages)
+    t0, buf0, rung0, sat0 = start
+    stage = {(int(t0 / dt), int(buf0 / dt), rung0, sat0): (0.0, t0, buf0, None)}
+    stages: list[dict] = []
+    skipped = False
+    for k in range(n_stages):
+        items = stage.items()
+        if k and floor > NEG_INF:
+            row = ceiling[n_stages - k]
+            items = [
+                (key, value) for key, value in items
+                if value[0] + row[key[2]] + 1e-9 * (abs(value[0]) + abs(row[key[2]]) + 1.0)
+                >= floor
+            ]
+            skipped = skipped or len(items) < len(stage)
+        if max_candidates is not None:
+            n_candidates = len(sizes) * sum(len(links(k, value[1])) for _, value in items)
+            if n_candidates > max_candidates:
+                raise PlanningError(
+                    f"search at chunk {k} would score {n_candidates} candidates, more "
+                    f"than {max_candidates}: sim.dt_s={dt!r} is too fine a grid to merge "
+                    "states; use a coarser dt_s"
+                )
+        new_stage: dict = {}
+        get = new_stage.get
+        stage_switch = switch if k or first_switch else [(0.0,) * len(sizes)] * len(sizes)
+        for key, (q, t, buf, _) in items:
+            sw = stage_switch[key[2]]
+            for sat, link in links(k, t):
+                d = delay if sat != key[3] else 0.0
+                for rate_idx, wait in enumerate(piecewise_downloads(link, t + d, sizes, rtt_s)):
+                    if wait is None:
+                        break  # sizes ascend, so every larger rung is unbounded too
+                    wait = d + wait
+                    if wait > buf:
+                        rebuf = wait - buf
+                        new_buf = chunk_s
+                    else:
+                        rebuf = 0.0
+                        new_buf = (buf - wait) + chunk_s
+                    new_t = t + wait
+                    if new_buf > max_buf:
+                        new_t += new_buf - max_buf
+                        new_buf = max_buf
+                    new_q = q + ((gain[rate_idx] - mu2 * rebuf) - sw[rate_idx])
+                    new_key = (int(new_t / dt), int(new_buf / dt), rate_idx, sat)
+                    cur = get(new_key)
+                    if cur is None or new_q > cur[0] or (
+                        new_q == cur[0] and (new_t, -new_buf, key) < (cur[1], -cur[2], cur[3])
+                    ):
+                        new_stage[new_key] = (new_q, new_t, new_buf, key)
+        if not new_stage:
+            if skipped:
+                raise BelowFloorError(f"no plan reaches {floor!r}", sum(map(len, stages)))
+            raise UnboundedDownloadError(f"every plan is unbounded at stage {k}")
+        stages.append(new_stage)
+        stage = new_stage
+    if max(value[0] for value in stage.values()) < floor:
+        raise BelowFloorError(f"no plan reaches {floor!r}", sum(map(len, stages)))
+    return stages
+
+
+def _reconstruct(stages: list[dict], final_key) -> list[tuple[int, int]]:
+    """The (rung, satellite) of each stage on the path to final_key."""
+    path = []
+    key = final_key
+    for stage in reversed(stages):
+        path.append(key[2:])
+        key = stage[key][3]
+    path.reverse()
+    return path
+
+
+def f_sat_dpmpc(inst: PlanInstance, floor: float = NEG_INF) -> PlanResult:
+    """The exhaustive search's objective, solved by a DP on the dt_s grid
+    (_grid_dp, whose docstring states the merge and the floor).
+
+    States are keyed by (floor(time/dt), floor(buffer/dt), bitrate, link)
+    with dt = inst.sim.dt_s; the link slot is 0 for the current link and
+    1 for the target, which all states of a stage share, so it splits no
+    cell and changes no tie. Each key keeps the best accumulated QoE
+    together with its exact time and buffer, so the returned QoE is the
+    true value of a real plan. It matches the exhaustive search whenever
+    no two plans collide on the grid. When they do, the cell keeps the
+    plan with more QoE so far, which can pay for its later clock (a rate
     cliff at the pass end), so the DP can return less than the
     exhaustive search. handoff_chunk None is the stay branch.
 
     floor asks only for a plan scoring >= floor: the result is the
     unbounded DP's, bit for bit, when its best plan reaches floor, and
     BelowFloorError, with the states kept so far, is raised otherwise.
-    A state at chunk n with QoE q and rung p is not expanded when
-    q + U + 1e-9*(|q| + |U| + 1) < floor, where U = U[F - n + 1][p] of
-    chunk_scores, the bound the exhaustive search skips by; the default
-    floor, -inf, skips nothing. U bounds the F - n + 1 chunks left, and
-    the slack covers the rounding of the sums, so every state on the path
-    of a plan scoring >= floor is expanded, with the values the unbounded
-    DP gives it.
-
-    A merge keeps the child with the highest QoE and, on an exact tie,
-    the one with the earlier clock, then the fuller buffer, then the
-    lower parent key. That order is total and does not depend on the
-    order in which a stage lists its states, so a cell keeps the
-    unbounded DP's winner whenever that winner is bounded at or above
-    floor, whichever of the cell's other children were skipped.
-
-    Each stage is one loop: the stage's link and handoff delay are picked
-    once, each kept state makes one piecewise_downloads walk, and each
-    child is settled, scored, keyed and merged inline, with the floats of
-    _child_expander (see there for the tests that pin both copies).
+    The default floor, -inf, skips nothing. Of the best final states,
+    the one whose plan is highest is returned.
     """
-    sim, video = inst.sim, inst.video
-    dt, rtt_s, mu2, max_buffer_s = sim.dt_s, sim.rtt_s, sim.mu2, sim.max_buffer_s
-    sizes, chunk_s = video.chunk_sizes_mb, video.chunk_duration_s
-    gain, switch, ceiling = _scores(inst)
-    h, horizon = inst.handoff_chunk, inst.horizon
-    init_key = (
-        int(inst.start_t / dt),
-        int(inst.buffer_s / dt),
-        inst.last_bitrate_idx,
-    )
-    # Each state keeps (QoE, exact time, exact buffer, parent key); the
-    # stages themselves are the back-pointers for plan reconstruction.
-    stage = {init_key: (0.0, inst.start_t, inst.buffer_s, None)}
-    stages: list[dict] = []
-    visited = 0
-    skipped = False
-
-    for n in range(1, horizon + 1):
-        # The stage's link and handoff delay, as _chunk_wait picks them;
-        # a delay of 0.0 leaves every start and wait as it is, bit for bit.
-        if h is None or n < h:
-            link, delay_s = inst.current_link, 0.0
-        else:
-            link, delay_s = inst.target_link, sim.handoff_delay_s if n == h else 0.0
-        new_stage: dict = {}
-        get = new_stage.get
-        ceiling_row = ceiling[horizon - n + 1]
-        for key, (q, t, buf, _) in stage.items():
-            prev = key[2]
-            u = ceiling_row[prev]
-            if q + u + 1e-9 * (abs(q) + abs(u) + 1.0) < floor:
-                skipped = True
-                continue
-            sw = switch[prev]
-            # _child_expander's floats, inlined: settle, score and key each
-            # bounded rung, then merge it.
-            for rate_idx, wait in enumerate(piecewise_downloads(link, t + delay_s, sizes, rtt_s)):
-                if wait is None:
-                    break  # sizes ascend, so every larger rung is unbounded too
-                wait = delay_s + wait
-                if wait > buf:
-                    rebuf = wait - buf
-                    new_buf = chunk_s
-                else:
-                    rebuf = 0.0
-                    new_buf = (buf - wait) + chunk_s
-                new_t = t + wait
-                if new_buf > max_buffer_s:
-                    new_t += new_buf - max_buffer_s
-                    new_buf = max_buffer_s
-                new_q = q + ((gain[rate_idx] - mu2 * rebuf) - sw[rate_idx])
-                new_key = (int(new_t / dt), int(new_buf / dt), rate_idx)
-                cur = get(new_key)
-                if cur is None or new_q > cur[0] or (
-                    new_q == cur[0] and (new_t, -new_buf, key) < (cur[1], -cur[2], cur[3])
-                ):
-                    new_stage[new_key] = (new_q, new_t, new_buf, key)
-        if not new_stage:
-            if skipped:
-                raise BelowFloorError(f"no plan reaches {floor!r}", visited)
-            raise UnboundedDownloadError("all horizon plans are unbounded")
-        stages.append(new_stage)
-        stage = new_stage
-        visited += len(new_stage)
-
-    best_q = max(v[0] for v in stage.values())
-    if best_q < floor:
-        raise BelowFloorError(f"no plan reaches {floor!r}", visited)
-    tied = [key for key, v in stage.items() if v[0] == best_q]
-    best_plan = max(_reconstruct(stages, key) for key in tied)
-    return PlanResult(best_q, best_plan, states_visited=visited)
-
-
-def _reconstruct(stages: list[dict], final_key) -> tuple[int, ...]:
-    plan = []
-    key = final_key
-    for stage in reversed(stages):
-        plan.append(key[2])
-        key = stage[key][3]
-    plan.reverse()
-    return tuple(plan)
+    h = inst.handoff_chunk
+    # Stage k is horizon chunk k + 1; the child at h hands off (slot 0 to 1).
+    stay, move = [(0, inst.current_link)], [(1, inst.target_link)]
+    per_stage = [stay if h is None or k + 1 < h else move for k in range(inst.horizon)]
+    start = (inst.start_t, inst.buffer_s, inst.last_bitrate_idx, 0)
+    stages = _grid_dp(start, lambda k, t: per_stage[k], inst.horizon, inst.video, inst.sim, floor)
+    last = stages[-1]
+    best_q = max(v[0] for v in last.values())
+    tied = [key for key, v in last.items() if v[0] == best_q]
+    best_path = max(_reconstruct(stages, key) for key in tied)
+    plan = tuple(rung for rung, _ in best_path)
+    return PlanResult(best_q, plan, states_visited=sum(map(len, stages)))
 
 
 def select_candidates(
@@ -950,9 +988,10 @@ def _offline_incumbent(trace: TraceSet, video: VideoSpec, cfg: SimConfig) -> flo
     satellite and rung order on a tie. Each satellite's children come
     from _child_expander on a one-chunk instance that hands off at its
     first chunk when the satellite is not the current one, which is the
-    offline DP's stage arithmetic up to rounding. That instance charges
-    the switch from the start rung at chunk 0, which the offline DP does
-    not, so the value is at most that of the plan it follows.
+    offline DP's stage arithmetic bit for bit except the chunk-0 switch.
+    That instance charges the switch from the start rung at chunk 0,
+    which the offline DP does not, so the value is at most that of the
+    plan it follows.
     """
     n_chunks = video.n_chunks
     ceiling = chunk_scores(video.bitrate_ladder_mbps, cfg.mu1, cfg.mu3, n_chunks)[2]
@@ -979,22 +1018,36 @@ def _offline_incumbent(trace: TraceSet, video: VideoSpec, cfg: SimConfig) -> flo
     return q - 1e-9 * (abs(q) + 1.0)
 
 
-def _offline_solve(
-    trace: TraceSet, video: VideoSpec, cfg: SimConfig, floor: float
-) -> list[dict] | None:
-    """One pass of offline_optimal_plan's DP above floor: the stages, each
-    a dict from (time cell, buffer cell, rung, satellite) to (QoE, exact
-    time, exact buffer, parent key). None when a stage above a finite
-    floor runs dry."""
-    dt, rtt_s, mu2 = cfg.dt_s, cfg.rtt_s, cfg.mu2
-    delay, chunk_s, max_buf = cfg.handoff_delay_s, video.chunk_duration_s, cfg.max_buffer_s
-    sizes = video.chunk_sizes_mb
-    n_rungs, n_chunks = len(sizes), video.n_chunks
-    gain, switch, ceiling = chunk_scores(video.bitrate_ladder_mbps, cfg.mu1, cfg.mu3, n_chunks)
-    no_switch = (0.0,) * n_rungs  # chunk 0 has no smoothness term
+def offline_optimal_plan(
+    trace: TraceSet, video: VideoSpec, cfg: SimConfig
+) -> tuple[list[Decision], float]:
+    """Full-session DP over true throughput.
+
+    State is (time index, buffer index, bitrate, satellite), the indices on
+    the cfg.dt_s grid, with exact time/buffer carried along each kept path;
+    handoffs (with delay) are allowed before any chunk. Returns the
+    per-chunk decisions and the DP objective, which equals the QoE of
+    replaying those decisions (offline_optimal), bit for bit.
+
+    Each chunk is one stage of _grid_dp, the loop f_sat_dpmpc runs too: a
+    state downloads from every track visible at its time's sample, the
+    first chunk charges no switch, as the simulator charges none, and
+    children are scored in session_qoe's association, so the objective
+    is the replay's sum. The final state is the max over (QoE,) + key.
+
+    The solve is bounded by a floor, _offline_incumbent's greedy plan
+    value, which _grid_dp skips states by from chunk 1 on; it then
+    returns the unbounded DP's decisions and objective bit for bit
+    whenever that optimum reaches the floor. A grid merge can drop the
+    greedy plan, so the optimum can fall below it; then (BelowFloorError)
+    the DP is solved again without the floor. A stage of more than
+    MAX_OFFLINE_STAGE_CANDIDATES candidates is refused, in either pass.
+    Bounded, a README exp.json session takes ~2 ms on a 2-core x86 host;
+    the unbounded pass takes ~83 ms.
+    """
     by_sample: dict[int, list] = {}
 
-    def visible(t: float) -> list[tuple[int, RateSeries]]:
+    def links(k: int, t: float) -> list[tuple[int, RateSeries]]:
         """(satellite, link) of every track visible at t's sample."""
         idx = trace.clamped_index(t)
         tracks = by_sample.get(idx)
@@ -1004,135 +1057,30 @@ def _offline_solve(
             ]
         return tracks
 
-    start = simcore.initial_state(trace, video, cfg)
-    init_key = (
-        int(start.wallclock_s / dt), int(start.buffer_s / dt),
-        start.last_bitrate_idx, start.current_satellite,
-    )
-    stage = {init_key: (0.0, start.wallclock_s, start.buffer_s, None)}
-    stages: list[dict] = []
-    for k in range(n_chunks):
-        items = stage.items()
-        if k and floor > NEG_INF:
-            row = ceiling[n_chunks - k]
-            items = [
-                (key, value) for key, value in items
-                if value[0] + row[key[2]] + 1e-9 * (abs(value[0]) + abs(row[key[2]]) + 1.0)
-                >= floor
-            ]
-            if not items:
-                return None
-        n_candidates = n_rungs * sum(len(visible(value[1])) for _, value in items)
-        if n_candidates > MAX_OFFLINE_STAGE_CANDIDATES:
-            raise PlanningError(
-                f"offline search at chunk {k} would score {n_candidates} candidates, more "
-                f"than {MAX_OFFLINE_STAGE_CANDIDATES}: sim.dt_s={dt!r} is too fine a grid "
-                "to merge states; use a coarser dt_s"
-            )
-        new_stage: dict = {}
-        get = new_stage.get
-        for key, (q, t, buf, _) in items:
-            sw = switch[key[2]] if k else no_switch
-            for sat, link in visible(t):
-                # A handoff starts the download, and ends the wait, delay
-                # later; a delay of 0.0 leaves both as they are, bit for bit.
-                d = delay if sat != key[3] else 0.0
-                for rate_idx, wait in enumerate(piecewise_downloads(link, t + d, sizes, rtt_s)):
-                    if wait is None:
-                        break  # sizes ascend, so every larger rung is unbounded too
-                    wait = wait + d
-                    # settle_chunk, with the floats of its max(0.0, x) calls.
-                    if wait > buf:
-                        rebuf = wait - buf
-                        new_buf = chunk_s
-                    else:
-                        rebuf = 0.0
-                        new_buf = (buf - wait) + chunk_s
-                    new_t = t + wait
-                    if new_buf > max_buf:
-                        new_t += new_buf - max_buf
-                        new_buf = max_buf
-                    new_q = ((q + gain[rate_idx]) - mu2 * rebuf) - sw[rate_idx]
-                    new_key = (int(new_t / dt), int(new_buf / dt), rate_idx, sat)
-                    cur = get(new_key)
-                    if cur is None or new_q > cur[0] or (
-                        new_q == cur[0] and (new_t, -new_buf, key) < (cur[1], -cur[2], cur[3])
-                    ):
-                        new_stage[new_key] = (new_q, new_t, new_buf, key)
-        if not new_stage:
-            if floor > NEG_INF:
-                return None
-            raise PlanningError(f"offline search dead-ended at chunk {k}")
-        stages.append(new_stage)
-        stage = new_stage
-    return stages
+    init = simcore.initial_state(trace, video, cfg)
+    start = (init.wallclock_s, init.buffer_s, init.last_bitrate_idx, init.current_satellite)
 
+    def solve(floor: float) -> list[dict]:
+        return _grid_dp(
+            start, links, video.n_chunks, video, cfg, floor=floor, first_switch=False,
+            max_candidates=MAX_OFFLINE_STAGE_CANDIDATES,
+        )
 
-def offline_optimal_plan(
-    trace: TraceSet, video: VideoSpec, cfg: SimConfig
-) -> tuple[list[Decision], float]:
-    """Full-session DP over true throughput.
-
-    State is (time index, buffer index, bitrate, satellite), the indices on
-    the cfg.dt_s grid, with exact time/buffer carried along each kept path;
-    handoffs (with delay) are allowed before any chunk. Returns the
-    per-chunk decisions and the DP objective, which equals the realized
-    session QoE of those decisions.
-
-    Each chunk is one stage, a dict keyed by state (_offline_solve), the
-    shape of f_sat_dpmpc's: each kept state makes one piecewise_downloads
-    walk per track visible at its time's sample, and each child is
-    settled (settle_chunk's branches, then the drain), scored, keyed and
-    merged inline. A handoff starts the download at t + delay and waits
-    w + delay; QoE is ((q + mu1*b) - mu2*rebuf) - mu3*|b - p|, with no
-    smoothness term at chunk 0. Each key keeps the child with the highest
-    QoE and, on an exact tie, the one with the earlier clock, then the
-    fuller buffer, then the lower parent key, f_sat_dpmpc's rule. That
-    order is total and does not depend on the order in which a stage
-    lists its states or tracks. The final state is the max over
-    (QoE,) + key.
-
-    The solve is bounded by a floor, _offline_incumbent's greedy plan
-    value. From chunk 1 on, a state at chunk k with QoE q and rung p is
-    expanded only when q + U + 1e-9*(|q| + |U| + 1) >= floor, where U =
-    U[K - k][p] of chunk_scores for the K - k chunks left; chunk 0 pays
-    no switch, which U counts, so the one start state is always expanded.
-    U bounds every continuation (mu2 >= 0) and the slack covers the
-    rounding of the sums, so every state on the path of a plan scoring
-    >= floor is expanded, with the values the unbounded DP gives it.
-    Where a skipped state's child would have won a cell, the cell keeps
-    a child that scores no more and so, like it, ends below floor on
-    every continuation; such a child never outranks a state on the path
-    of a plan scoring >= floor. With the merge's order-free rule, each
-    cell on such a path keeps the unbounded DP's winner, so when the
-    unbounded optimum reaches floor the bounded solve returns it,
-    decisions and objective bit for bit, and when it does not, the
-    bounded solve ends below floor. A grid merge can drop
-    the greedy plan, so the optimum can fall below it; then, or when a
-    bounded stage empties, the DP is solved again without the floor.
-    Bounded, a README exp.json session takes ~2 ms on a 2-core x86
-    host; the unbounded pass takes ~83 ms.
-    """
-    floor = _offline_incumbent(trace, video, cfg)
-    stages = _offline_solve(trace, video, cfg, floor)
-    if stages is None or max(value[0] for value in stages[-1].values()) < floor:
-        stages = _offline_solve(trace, video, cfg, NEG_INF)
+    try:
+        try:
+            stages = solve(_offline_incumbent(trace, video, cfg))
+        except BelowFloorError:
+            stages = solve(NEG_INF)
+    except UnboundedDownloadError as err:
+        raise PlanningError(f"offline search dead-ended: {err}") from err
     last = stages[-1]
     key = max(last, key=lambda key: (last[key][0],) + key)
-    best_q = last[key][0]
-
-    path = []
-    for stage in reversed(stages):
-        path.append(key[2:])
-        key = stage[key][3]
-    path.reverse()
-
     decisions = []
-    prev_sat = key[3]  # the start state's
-    for rate_idx, sat_id in path:
+    prev_sat = init.current_satellite
+    for rate_idx, sat_id in _reconstruct(stages, key):
         decisions.append(Decision(rate_idx, sat_id, sat_id != prev_sat))
         prev_sat = sat_id
-    return decisions, best_q
+    return decisions, last[key][0]
 
 
 class _Script:

@@ -162,7 +162,7 @@ class PredictorBank:
         if min(values) <= MIN_OBSERVED_MBPS:
             value = values[-1] / (1.0 + errors.max_error())
         else:
-            value = robust_predict(history, errors)
+            value = robust_predict(values, errors)
         self._last_prediction[sat_id] = value
         return value
 

@@ -332,11 +332,12 @@ def _scalar_dp(inst, reverse=False):
     sim=SimConfig(max_buffer_s=8.0),
 ), dict(mu1=0.0, mu2=0.5, mu3=0.0), 1.0, 0.0, 2, 0.0)
 def test_dp_matches_scalar_reference_and_reevaluates_exactly(inst, weights, dt, delay, h, gap):
-    # The DP's stage loop settles, scores and merges each child inline, with
-    # the handoff delay picked per stage; the scalar reference computes each
-    # child as evaluate_plan does. Tied instances make merges meet exact QoE
-    # ties; they hand off at point h, or nowhere when h is 0 or past the
-    # horizon. A zero delay must leave the handoff chunk's floats as they are.
+    # The DP's stage loop settles, scores and merges each child inline, and
+    # a child that changes link pays the handoff delay; the scalar
+    # reference computes each child as evaluate_plan does. Tied instances
+    # make merges meet exact QoE ties; they hand off at point h, or nowhere
+    # when h is 0 or past the horizon. A zero delay must leave the handoff
+    # chunk's floats as they are.
     sim = dataclasses.replace(inst.sim, dt_s=dt, handoff_delay_s=delay, **weights)
     inst = dataclasses.replace(inst, sim=sim)
     if inst.handoff_chunk is None and inst.target_link is not None:
@@ -1013,7 +1014,7 @@ def test_offline_plan_value_matches_replay(video, sim_cfg):
     trace = suite_trace(2)
     decisions, value = offline_optimal_plan(trace, video, sim_cfg)
     replay = _step_replay(trace, video, sim_cfg, decisions)
-    assert replay.qoe_total == pytest.approx(value, abs=1e-9)
+    assert replay.qoe_total.hex() == value.hex()
 
 
 def test_true_future_plans_never_lose_to_estimated_plans(video, sim_cfg):
@@ -1096,7 +1097,7 @@ def _scalar_offline_plan(trace, video, cfg, reverse=False):
                         buf, wait, video.chunk_duration_s, cfg.max_buffer_s
                     )
                     smooth = 0.0 if k == 0 else cfg.mu3 * abs(ladder[rate_idx] - ladder[key[2]])
-                    new_q = q + cfg.mu1 * ladder[rate_idx] - cfg.mu2 * rebuf - smooth
+                    new_q = q + ((cfg.mu1 * ladder[rate_idx] - cfg.mu2 * rebuf) - smooth)
                     new_t = t + wait
                     if drain > 0.0:
                         new_t += drain
@@ -1172,6 +1173,12 @@ def _relabelled(trace, sat_ids):
 # The buffer reaches its 6 s cap from chunk 4 on: the replay drains it.
 @example((make_flat_trace([20.0, 20.0], duration_s=30.0), VideoSpec(n_chunks=8),
           SimConfig(max_buffer_s=6.0)))
+# Scored as ((q + mu1*b) - mu2*rebuf) - mu3*|b - p|, this objective read
+# 0x1.8d28475147b6fp+5 and its replay 0x1.8d28475147b70p+5.
+@example((gen_trace_set(TraceGenConfig(
+    alpha=1.0, b_max_mbps=6.0, duration_s=120.0, n_satellites=3, min_elevation_deg=45.0,
+    altitude_km=250.0, seed=64,
+)), VideoSpec(n_chunks=20), SimConfig(max_buffer_s=8.0)))
 def test_offline_dp_matches_scalar_reference(case):
     trace, video, cfg = case
     decisions, value = offline_optimal_plan(trace, video, cfg)
@@ -1180,23 +1187,26 @@ def test_offline_dp_matches_scalar_reference(case):
     assert value.hex() == ref_value.hex()
     assert all(type(d.bitrate_idx) is int and type(d.target_satellite) is int for d in decisions)
     # offline_optimal replays the plan as a session: every chunk and total
-    # as step_chunk settles them, bit for bit.
-    assert offline_optimal(trace, video, cfg) == _step_replay(trace, video, cfg, decisions)
+    # as step_chunk settles them, bit for bit, and the total is the DP's
+    # objective.
+    replay = offline_optimal(trace, video, cfg)
+    assert replay == _step_replay(trace, video, cfg, decisions)
+    assert replay.qoe_total.hex() == value.hex()
 
 
 def _counted_offline_plan(trace, video, cfg, incumbent):
     """offline_optimal_plan with _offline_incumbent returning incumbent,
-    and the floor of each DP pass (_offline_solve call) it made."""
+    and the floor of each DP pass (_grid_dp call) it made."""
     passes = []
 
-    def solve(*args):
-        passes.append(args[-1])
-        return solve.planners(*args)
+    def solve(*args, **kwargs):
+        passes.append(kwargs["floor"])
+        return solve.planners(*args, **kwargs)
 
-    solve.planners = planners._offline_solve
+    solve.planners = planners._grid_dp
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(planners, "_offline_incumbent", lambda *args: incumbent)
-        patch.setattr(planners, "_offline_solve", solve)
+        patch.setattr(planners, "_grid_dp", solve)
         decisions, value = offline_optimal_plan(trace, video, cfg)
     return (decisions, value.hex()), passes
 
@@ -1289,11 +1299,11 @@ def test_offline_dp_refuses_a_stage_past_its_candidate_cap(monkeypatch):
     # At dt_s 1e-6 almost no two candidates share a cell, so each stage
     # grows by up to (satellites x rungs): 20 chunks would pass 5 GB. The
     # unbounded solve stops at chunk 9, the first stage past the cap
-    # (1 564 038 candidates), and names dt_s.
+    # (1 563 684 candidates), and names dt_s.
     trace = make_flat_trace([1.0, 2.0], duration_s=60.0)
     cfg = SimConfig(dt_s=1e-6)
     monkeypatch.setattr(planners, "_offline_incumbent", lambda *args: -math.inf)
-    with pytest.raises(PlanningError, match=r"chunk 9 would score 1564038 candidates.*sim\.dt_s=1e-06"):
+    with pytest.raises(PlanningError, match=r"chunk 9 would score 1563684 candidates.*sim\.dt_s=1e-06"):
         offline_optimal_plan(trace, VideoSpec(n_chunks=20), cfg)
     # The cap is inclusive: stages of 6, 36 and 216 candidates.
     video = VideoSpec(n_chunks=3)
